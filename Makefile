@@ -19,7 +19,8 @@ vet:
 	go run ./cmd/dvfsvet ./...
 
 # Runtime half of the hotpathalloc guarantee: AllocsPerRun == 0 on the
-# core decision path, span capture, and the feature hash. Run without
+# core decision path, span capture, the feature hash, and the energy
+# ledger and meter. Run without
 # -race — the detector's instrumentation allocates, so these tests
 # skip themselves under it.
 alloc-gate:
@@ -28,6 +29,7 @@ alloc-gate:
 	go test -count=1 -run 'TestBinaryEncodeZeroAlloc' ./internal/trace
 	go test -count=1 -run 'TestAppendZeroAlloc|TestEncoderZeroAlloc' ./internal/tsdb
 	go test -count=1 -run 'TestEnergyMeterZeroAlloc' ./internal/alert
+	go test -count=1 -run 'TestLedgerZeroAlloc' ./internal/platform
 
 build:
 	go build ./...

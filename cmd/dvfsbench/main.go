@@ -76,7 +76,7 @@ func runExp(s *experiments.Suite, name, bench string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Table2(rows))
+		fmt.Println(experiments.Table2(rows))
 	case "fig2":
 		series, err := s.RunFig2(250)
 		if err != nil {
@@ -88,21 +88,21 @@ func runExp(s *experiments.Suite, name, bench string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig3(series, 12))
+		fmt.Println(experiments.Fig3(series, 12))
 	case "fig9":
 		pts, err := s.RunFig9()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig9(pts))
+		fmt.Println(experiments.Fig9(pts))
 	case "fig11":
-		fmt.Println(render.Fig11(s.RunFig11()))
+		fmt.Println(experiments.Fig11(s.RunFig11()))
 	case "fig15":
 		rows, err := s.RunFig15()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig15(rows))
+		fmt.Println(experiments.Fig15(rows))
 	case "fig16":
 		ws := workload.All()
 		if bench != "" {
@@ -117,20 +117,20 @@ func runExp(s *experiments.Suite, name, bench string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(render.Fig16(sw))
+			fmt.Println(experiments.Fig16(sw))
 		}
 	case "fig17":
 		rows, err := s.RunFig17()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig17(rows))
+		fmt.Println(experiments.Fig17(rows))
 	case "fig18":
 		rows, err := s.RunFig18()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig18(rows))
+		fmt.Println(experiments.Fig18(rows))
 	case "fig19":
 		rows, err := s.RunFig19()
 		if err != nil {
@@ -140,103 +140,103 @@ func runExp(s *experiments.Suite, name, bench string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig19(rows, sphinx))
+		fmt.Println(experiments.Fig19(rows, sphinx))
 	case "fig20":
 		pts, err := s.RunFig20()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig20(pts))
+		fmt.Println(experiments.Fig20(pts))
 	case "fig21":
 		rows, err := s.RunFig21()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Fig21(rows))
+		fmt.Println(experiments.Fig21(rows))
 	case "xplat":
 		rows, err := s.RunXPlat()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.XPlat(rows))
+		fmt.Println(experiments.XPlat(rows))
 	case "ablations":
 		mpts, err := s.RunAblationMargin()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.AblationMargin(mpts))
+		fmt.Println(experiments.AblationMargin(mpts))
 		spts, err := s.RunAblationSwitchTable()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.AblationSwitchTable(spts))
+		fmt.Println(experiments.AblationSwitchTable(spts))
 		srows, err := s.RunAblationSlice()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.AblationSlice(srows))
+		fmt.Println(experiments.AblationSlice(srows))
 	case "placement":
 		rows, err := s.RunPlacement()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Placement(rows))
+		fmt.Println(experiments.Placement(rows))
 	case "batch":
 		pts, err := s.RunBatch()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Batch(pts))
+		fmt.Println(experiments.Batch(pts))
 	case "hetero":
 		pts, err := s.RunHetero()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Hetero(pts))
+		fmt.Println(experiments.Hetero(pts))
 	case "hints":
 		rows, err := s.RunHints()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Hints(rows))
+		fmt.Println(experiments.Hints(rows))
 	case "overheadcap":
 		pts, err := s.RunOverheadCap()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.OverheadCap(pts))
+		fmt.Println(experiments.OverheadCap(pts))
 	case "multitask":
 		rows, err := s.RunMultiTask()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.MultiTask(rows))
+		fmt.Println(experiments.MultiTask(rows))
 	case "quadratic":
 		rows, err := s.RunQuadratic()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Quadratic(rows))
+		fmt.Println(experiments.Quadratic(rows))
 	case "baselines":
 		for _, wl := range []string{"ldecode", "sha"} {
 			rows, err := s.RunBaselines(wl)
 			if err != nil {
 				return err
 			}
-			fmt.Println(render.Baselines(wl, rows))
+			fmt.Println(experiments.Baselines(wl, rows))
 		}
 	case "static":
 		rows, err := s.RunStatic()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.Static(rows))
+		fmt.Println(experiments.Static(rows))
 	case "a15":
 		rows, err := s.RunA15Trends()
 		if err != nil {
 			return err
 		}
-		fmt.Println(render.A15(rows))
+		fmt.Println(experiments.A15(rows))
 	}
 	return nil
 }

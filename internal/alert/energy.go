@@ -9,19 +9,19 @@ import (
 )
 
 // The online energy meter is the live counterpart of dvfsreplay's
-// offline reconstruction (internal/replay.reconstruct): it charges the
-// same four segments per decision event — the idle gap before the job
-// at IdlePower(from), the predictor slice at ActivePower(from), the
-// DVFS transition at SwitchPower(from, to), and the execution at
-// ActivePower(level) — keyed by (workload, device). The one segment it
-// cannot charge is the replay's final drain to the horizon (the trace
-// has not ended yet), so on an identical trace the two totals agree to
-// within one idle period; the cross-validation test asserts 2%.
+// offline reconstruction: each (workload, device) stream charges its
+// decision events to a platform.Ledger, the same ledger the
+// reconstruction drives — the idle gap before the job and the
+// predictor slice at the from-level, the DVFS transition, the
+// execution at the chosen level. The one segment it cannot charge is
+// the replay's final drain to the horizon (the trace has not ended
+// yet), so on an identical trace the exec, predictor and switch
+// energies are equal and the idle energies differ by exactly that
+// drain; the cross-validation test asserts both.
 //
 // It runs as a tracer sink on the decision path, so Emit is
-// //dvfs:hotpath: pure float arithmetic over precomputed power tables
-// under one short mutex, with allocations confined to the first event
-// of a new stream.
+// //dvfs:hotpath: table lookups under one short mutex, with
+// allocations confined to the first event of a new stream.
 
 // EnergyConfig wires an EnergyMeter. Zero values select defaults.
 type EnergyConfig struct {
@@ -71,44 +71,13 @@ type streamKey struct {
 	workload, device string
 }
 
-// powerModel is a platform's power curves flattened into index-addressed
-// tables, so the hot path prices a segment with two loads and a
-// multiply instead of a Level lookup that can fail.
-type powerModel struct {
-	active []float64
-	idle   []float64
-	sw     [][]float64 // [from][to]
-}
-
-func newPowerModel(p *platform.Platform) *powerModel {
-	n := p.NumLevels()
-	pm := &powerModel{
-		active: make([]float64, n),
-		idle:   make([]float64, n),
-		sw:     make([][]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		l := p.Levels[i]
-		pm.active[i] = p.ActivePower(l)
-		pm.idle[i] = p.IdlePower(l)
-		pm.sw[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			pm.sw[i][j] = p.SwitchPower(l, p.Levels[j])
-		}
-	}
-	return pm
-}
-
 // energyStream is one (workload, device) accumulator.
 type energyStream struct {
-	pm     *powerModel
-	cursor float64 // accounting clock in trace seconds
+	led *platform.Ledger // nil for an unknown platform
 
-	jobs     int64 // events that contributed an execution segment
-	oneShots int64 // of those, priced from the prediction (Done=false)
-
-	totalJ, idleJ, execJ, predJ, switchJ float64
-	predBasisJ                           float64 // exec energy priced from predictions
+	jobs       int64   // events that contributed an execution segment
+	oneShots   int64   // of those, priced from the prediction (Done=false)
+	predBasisJ float64 // energy of the one-shot decisions
 
 	fast, slow *burnWin
 }
@@ -153,7 +122,7 @@ func (w *burnWin) watts() float64 {
 type EnergyMeter struct {
 	mu      sync.Mutex
 	cfg     EnergyConfig
-	models  map[string]*powerModel // platform name → tables; nil = unknown
+	tables  map[string]*platform.PowerTable // platform name → tables; nil = unknown
 	streams map[streamKey]*energyStream
 	skipped uint64
 }
@@ -163,14 +132,14 @@ func NewEnergyMeter(cfg EnergyConfig) *EnergyMeter {
 	cfg = cfg.withDefaults()
 	m := &EnergyMeter{
 		cfg:     cfg,
-		models:  map[string]*powerModel{},
+		tables:  map[string]*platform.PowerTable{},
 		streams: map[streamKey]*energyStream{},
 	}
 	if cfg.Platform != nil {
-		m.models[""] = newPowerModel(cfg.Platform)
-		m.models[cfg.Platform.Name] = m.models[""]
+		m.tables[""] = platform.NewPowerTable(cfg.Platform)
+		m.tables[cfg.Platform.Name] = m.tables[""]
 	} else {
-		m.models[""] = nil
+		m.tables[""] = nil
 	}
 	return m
 }
@@ -187,63 +156,41 @@ func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
 		//dvfs:allow-alloc first event of a stream: builds the accumulator and (at most once per platform) the power tables
 		st = m.newStream(e.Workload, e.Device, e.Platform)
 	}
-	pm := st.pm
-	if pm == nil {
+	if st.led == nil {
 		// Unknown platform: counting beats guessing at a power curve.
 		m.skipped++
 		m.mu.Unlock()
 		return
 	}
-	from, lv := e.FromLevel, e.Level
-	if from < 0 || from >= len(pm.active) {
-		from = len(pm.active) - 1
-	}
-	if lv < 0 || lv >= len(pm.active) {
-		lv = len(pm.active) - 1
-	}
-	t0 := st.cursor
-	var idle, pred, sw, exec float64
-	if gap := e.TimeSec - st.cursor; gap > 0 {
-		idle = pm.idle[from] * gap
-		st.cursor = e.TimeSec
-	}
-	if e.PredictorSec > 0 {
-		pred = pm.active[from] * e.PredictorSec
-		st.cursor += e.PredictorSec
-	}
+	t0 := st.led.Now()
+	joules := st.led.IdleUntil(e.TimeSec, e.FromLevel)
 	swSec := e.MeasSwitchSec
-	if swSec == 0 && lv != from {
+	if swSec == 0 && e.Level != e.FromLevel {
 		// The table estimate beats pricing the transition at zero —
 		// the same fallback the offline reconstruction uses.
 		swSec = e.SwitchSec
 	}
-	if swSec > 0 {
-		sw = pm.sw[from][lv] * swSec
-		st.cursor += swSec
-	}
+	var execSec float64
 	switch {
 	case e.Done && e.ActualExecSec > 0:
-		exec = pm.active[lv] * e.ActualExecSec
-		st.cursor += e.ActualExecSec
+		execSec = e.ActualExecSec
 		st.jobs++
 	case !e.Done && e.PredictedExecSec > 0:
 		// One-shot serve decision: the job runs client-side, so price
 		// the prediction — flagged separately in predBasisJ.
-		exec = pm.active[lv] * e.PredictedExecSec
-		st.cursor += e.PredictedExecSec
+		execSec = e.PredictedExecSec
 		st.jobs++
 		st.oneShots++
-		st.predBasisJ += exec
 	}
-	st.idleJ += idle
-	st.predJ += pred
-	st.switchJ += sw
-	st.execJ += exec
-	st.totalJ += idle + pred + sw + exec
+	run := st.led.Run(e.FromLevel, e.Level, e.PredictorSec, swSec, execSec)
+	if !e.Done && execSec > 0 {
+		st.predBasisJ += run
+	}
+	joules += run
 	if st.fast != nil {
-		if dt := st.cursor - t0; dt > 0 {
-			st.fast.push(idle+pred+sw+exec, dt)
-			st.slow.push(idle+pred+sw+exec, dt)
+		if dt := st.led.Now() - t0; dt > 0 {
+			st.fast.push(joules, dt)
+			st.slow.push(joules, dt)
 		}
 	}
 	m.mu.Unlock()
@@ -252,12 +199,12 @@ func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
 // newStream resolves the event's platform and registers the stream,
 // folding into the overflow stream past MaxKeys. Caller holds m.mu.
 func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream {
-	pm, ok := m.models[platName]
+	pt, ok := m.tables[platName]
 	if !ok {
 		if p, err := platform.ByName(platName); err == nil {
-			pm = newPowerModel(p)
+			pt = platform.NewPowerTable(p)
 		}
-		m.models[platName] = pm
+		m.tables[platName] = pt
 	}
 	key := streamKey{workload, device}
 	if len(m.streams) >= m.cfg.MaxKeys {
@@ -266,10 +213,14 @@ func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream
 			return st
 		}
 	}
-	st := &energyStream{pm: pm}
-	if pm != nil && m.cfg.BudgetW > 0 {
-		st.fast = newBurnWin(m.cfg.FastWindow)
-		st.slow = newBurnWin(m.cfg.SlowWindow)
+	st := &energyStream{}
+	if pt != nil {
+		led := platform.NewLedger(pt)
+		st.led = &led
+		if m.cfg.BudgetW > 0 {
+			st.fast = newBurnWin(m.cfg.FastWindow)
+			st.slow = newBurnWin(m.cfg.SlowWindow)
+		}
 	}
 	m.streams[key] = st
 	return st
@@ -283,11 +234,13 @@ type EnergyStreamStats struct {
 	Workload, Device string
 	Jobs, OneShots   int64
 
-	TotalJ, IdleJ, ExecJ, PredictorJ, SwitchJ float64
-	PredictedBasisJ                           float64
+	platform.Breakdown // Total() is the stream's energy
+	// PredictedBasisJ is the energy of one-shot decisions (Done=false),
+	// whose execution is priced from the prediction.
+	PredictedBasisJ float64
 
-	PerJobJ        float64 // TotalJ / Jobs
-	PredictorShare float64 // PredictorJ / TotalJ
+	PerJobJ        float64 // Total() / Jobs
+	PredictorShare float64 // PredictorJ / Total()
 
 	// FastBurn and SlowBurn are windowed watts divided by BudgetW;
 	// zero until MinSamples decisions have landed or when no budget is
@@ -306,16 +259,17 @@ func (m *EnergyMeter) Snapshot() []EnergyStreamStats {
 		s := EnergyStreamStats{
 			Workload: key.workload, Device: key.device,
 			Jobs: st.jobs, OneShots: st.oneShots,
-			TotalJ: st.totalJ, IdleJ: st.idleJ, ExecJ: st.execJ,
-			PredictorJ: st.predJ, SwitchJ: st.switchJ,
 			PredictedBasisJ: st.predBasisJ,
-			DurationSec:     st.cursor,
+		}
+		if st.led != nil {
+			s.Breakdown = st.led.Breakdown()
+			s.DurationSec = st.led.Now()
 		}
 		if st.jobs > 0 {
-			s.PerJobJ = st.totalJ / float64(st.jobs)
+			s.PerJobJ = s.Total() / float64(st.jobs)
 		}
-		if st.totalJ > 0 {
-			s.PredictorShare = st.predJ / st.totalJ
+		if s.Total() > 0 {
+			s.PredictorShare = s.PredictorJ / s.Total()
 		}
 		if m.cfg.BudgetW > 0 && st.fast != nil {
 			if st.fast.n >= m.cfg.MinSamples {
@@ -342,7 +296,9 @@ func (m *EnergyMeter) TotalJ() float64 {
 	defer m.mu.Unlock()
 	t := 0.0
 	for _, st := range m.streams {
-		t += st.totalJ
+		if st.led != nil {
+			t += st.led.Breakdown().Total()
+		}
 	}
 	return t
 }

@@ -48,8 +48,8 @@ func TestEnergyAccounting(t *testing.T) {
 			s.IdleJ, s.PredictorJ, s.SwitchJ, s.ExecJ, wantIdle, wantPred, wantSw, wantExec)
 	}
 	want := wantIdle + wantPred + wantSw + wantExec
-	if !approx(s.TotalJ, want) || !approx(m.TotalJ(), want) {
-		t.Fatalf("total = %g, want %g", s.TotalJ, want)
+	if !approx(s.Total(), want) || !approx(m.TotalJ(), want) {
+		t.Fatalf("total = %g, want %g", s.Total(), want)
 	}
 	if !approx(s.PerJobJ, want) {
 		t.Fatalf("per-job = %g, want %g", s.PerJobJ, want)

@@ -1,7 +1,6 @@
 package alert_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/alert"
@@ -17,14 +16,20 @@ import (
 
 // TestEnergyMeterCrossValidatesReplay is the acceptance check for the
 // online meter: streaming a simulator trace through EnergyMeter.Emit
-// must land within 2% of dvfsreplay's offline reconstruction of the
-// same events. The two differ only in the final idle drain — replay
-// charges idle power out to the simulator's horizon (last release plus
-// one period), which an online meter cannot know — so the exec,
-// predictor, and switch components must agree to round-off and only
-// the idle component may fall short.
+// must reproduce dvfsreplay's offline reconstruction of the same
+// events exactly. Both charge the events to a platform.Ledger, so the
+// exec, predictor and switch energies are equal; the idle energies
+// differ by exactly the final drain — replay charges idle power out to
+// the simulator's horizon (last release plus one period), which an
+// online meter cannot know.
 func TestEnergyMeterCrossValidatesReplay(t *testing.T) {
-	w, err := workload.ByName("sha")
+	for _, wl := range []string{"sha", "ldecode", "pocketsphinx", "rijndael"} {
+		t.Run(wl, func(t *testing.T) { crossValidate(t, wl) })
+	}
+}
+
+func crossValidate(t *testing.T, wl string) {
+	w, err := workload.ByName(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +55,9 @@ func TestEnergyMeterCrossValidatesReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp := res.Group("sha", "prediction")
+	grp := res.Group(wl, "prediction")
 	if grp == nil {
-		t.Fatal("replay produced no sha/prediction group")
+		t.Fatalf("replay produced no %s/prediction group", wl)
 	}
 	offline := grp.Traced
 
@@ -68,20 +73,10 @@ func TestEnergyMeterCrossValidatesReplay(t *testing.T) {
 		t.Fatalf("meter tracked %d streams, want 1", len(streams))
 	}
 	live := streams[0]
-
-	// Headline number: within 2% of the offline reconstruction.
 	if offline.EnergyJ <= 0 {
 		t.Fatalf("offline reconstruction reports %g J", offline.EnergyJ)
 	}
-	relErr := math.Abs(live.TotalJ-offline.EnergyJ) / offline.EnergyJ
-	if relErr > 0.02 {
-		t.Errorf("live meter %.6f J vs replay %.6f J: %.2f%% off (want ≤ 2%%)",
-			live.TotalJ, offline.EnergyJ, 100*relErr)
-	}
 
-	// Component-level agreement: identical segment formulas, so only
-	// summation order separates them.
-	const eps = 1e-9
 	for _, c := range []struct {
 		name       string
 		live, repl float64
@@ -90,17 +85,11 @@ func TestEnergyMeterCrossValidatesReplay(t *testing.T) {
 		{"predictor", live.PredictorJ, offline.Breakdown.PredictorJ},
 		{"switch", live.SwitchJ, offline.Breakdown.SwitchJ},
 	} {
-		if d := math.Abs(c.live - c.repl); d > eps*math.Max(1, math.Abs(c.repl)) {
-			t.Errorf("%s: live %.9f J vs replay %.9f J", c.name, c.live, c.repl)
+		if c.live != c.repl {
+			t.Errorf("%s: live %.17g J vs replay %.17g J", c.name, c.live, c.repl)
 		}
 	}
-	// Idle: the meter sees every inter-job gap but not the final drain,
-	// so it must be ≤ replay's idle and the shortfall must be exactly
-	// the horizon gap priced at the last level's idle power.
-	if live.IdleJ > offline.Breakdown.IdleJ+eps {
-		t.Errorf("live idle %.9f J exceeds replay idle %.9f J", live.IdleJ, offline.Breakdown.IdleJ)
-	}
-	if live.DurationSec > offline.DurationSec+eps {
+	if live.DurationSec > offline.DurationSec {
 		t.Errorf("live duration %.6f s exceeds replay horizon %.6f s", live.DurationSec, offline.DurationSec)
 	}
 	last := events[len(events)-1]
@@ -109,11 +98,8 @@ func TestEnergyMeterCrossValidatesReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain := plat.IdlePower(lastLevel) * (offline.DurationSec - live.DurationSec)
-	if d := math.Abs((live.IdleJ + drain) - offline.Breakdown.IdleJ); d > 1e-6*offline.Breakdown.IdleJ+eps {
-		t.Errorf("idle shortfall is not the horizon drain: live %.9f + drain %.9f vs replay %.9f",
+	if live.IdleJ+drain != offline.Breakdown.IdleJ {
+		t.Errorf("idle shortfall is not the horizon drain: live %.17g + drain %.17g vs replay %.17g",
 			live.IdleJ, drain, offline.Breakdown.IdleJ)
-	}
-	if d := math.Abs((live.TotalJ + drain) - offline.EnergyJ); d > 1e-6*offline.EnergyJ {
-		t.Errorf("drain-adjusted total %.9f J vs replay %.9f J", live.TotalJ+drain, offline.EnergyJ)
 	}
 }

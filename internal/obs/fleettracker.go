@@ -43,12 +43,13 @@ type FleetConfig struct {
 	Compression int
 	// HeavyK is the heavy-hitter sketch capacity; zero → 32.
 	HeavyK int
-	// EnergyPerJob estimates one completed event's energy in joules.
-	// nil selects a frequency-squared proxy (freq²·exec, normalized to
-	// GHz² so magnitudes stay readable): relative comparisons between
-	// devices — all the health score needs — survive the missing
-	// voltage constants.
-	EnergyPerJob func(e *DecisionEvent) float64
+	// EnergyPerJob estimates one completed event's energy in joules;
+	// false means no estimate. Without one (or with nil), the tracker
+	// uses a frequency-squared proxy (freq²·exec, normalized to GHz² so
+	// magnitudes stay readable): relative comparisons between devices —
+	// all the health score needs — survive the missing voltage
+	// constants.
+	EnergyPerJob func(e *DecisionEvent) (float64, bool)
 	// SLO, when non-nil, receives every completed event via
 	// ObserveEvent — fleet-level burn tracking rides along with health
 	// scoring.
@@ -303,7 +304,9 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 
 func (t *FleetTracker) energy(e *DecisionEvent) float64 {
 	if t.cfg.EnergyPerJob != nil {
-		return t.cfg.EnergyPerJob(e)
+		if j, ok := t.cfg.EnergyPerJob(e); ok {
+			return j
+		}
 	}
 	// freq²·time proxy in GHz²·s: dynamic power scales ≈ f·V² with
 	// V roughly ∝ f over a DVFS range, so f² preserves the ordering

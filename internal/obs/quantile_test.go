@@ -92,8 +92,9 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 	}
 }
 
-// quantileSorted (the drift monitor's exact estimator) shares the
-// monotonicity requirement.
+// stats.QuantileSorted (the drift monitor's exact estimator, shared
+// with the span and report statistics) has the same monotonicity
+// requirement.
 func TestQuantileSortedMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {

@@ -5,80 +5,59 @@ import "repro/internal/platform"
 const timeEps = 1e-12
 
 // reconstruct rebuilds the energy the traced policy actually spent,
-// segment by segment, the way the simulator's meter integrated it:
-//
-//	idle gap before the job      IdlePower(from-level)   × gap
-//	predictor slice              ActivePower(from-level) × predictor time
-//	DVFS transition              SwitchPower(from, to)   × measured latency
-//	job execution                ActivePower(level)      × measured time
-//	final drain to the horizon   IdlePower(last level)   × remainder
+// segment by segment, on a platform.Ledger: the idle gap before each
+// job at the from-level, the predictor slice at the from-level, the
+// DVFS transition for its measured latency, the execution at the
+// chosen level, and a final drain at the last level out to the
+// horizon.
 //
 // For job-triggered governors on the default simulator configuration
-// every quantity on the right is recorded in the trace, so the total
-// matches sim.Result.EnergyJ to floating-point round-off — the
+// every quantity is recorded in the trace, so the total matches
+// sim.Result.EnergyJ to floating-point round-off — the
 // cross-validation test asserts within 1%. Where the trace cannot
 // carry a segment (inter-job idle-drop switches, mid-job sampling
 // transitions) the group's Approx list says so.
-func reconstruct(g *group, plat *platform.Platform) Outcome {
-	var out Outcome
-	var brk Breakdown
+func reconstruct(g *group, plat *platform.Platform, power *platform.PowerTable) Outcome {
+	led := platform.NewLedger(power)
 	levels := map[int]int{}
-
-	now := 0.0
-	last := plat.MaxLevel()
+	misses := 0
+	last := plat.MaxLevel().Index
 	for _, j := range g.jobs {
-		from, err := plat.Level(j.from)
-		if err != nil {
-			from = plat.MaxLevel()
-		}
-		lv, err := plat.Level(j.level)
-		if err != nil {
-			lv = plat.MaxLevel()
-		}
 		levels[j.level]++
-
-		if gap := j.start - now; gap > timeEps {
-			brk.IdleJ += plat.IdlePower(from) * gap
-			now = j.start
-		}
-		if j.predictorSec > 0 {
-			brk.PredictorJ += plat.ActivePower(from) * j.predictorSec
-			now += j.predictorSec
-		}
+		led.IdleUntil(j.start, j.from)
 		sw := j.measSwitchSec
 		if sw == 0 && j.level != j.from {
 			// Old logs carry only the table estimate; better than
 			// pricing the transition at zero.
 			sw = j.switchEstSec
 		}
-		if sw > 0 {
-			brk.SwitchJ += plat.SwitchPower(from, lv) * sw
-			now += sw
-		}
-		brk.ExecJ += plat.ActivePower(lv) * j.actual
-		now += j.actual
+		led.Run(j.from, j.level, j.predictorSec, sw, j.actual)
 		if j.missed {
-			out.Misses++
+			misses++
 		}
-		last = lv
+		last = j.level
 	}
+	return finishOutcome(g, &led, last, misses, levels)
+}
 
-	// The simulator charges every run the same wall-clock horizon:
-	// the last release plus one period.
-	if n := len(g.jobs); n > 0 {
-		horizon := g.jobs[n-1].release + g.period
-		if horizon > now {
-			brk.IdleJ += plat.IdlePower(last) * (horizon - now)
-			now = horizon
-		}
+// finishOutcome drains the ledger to the simulator's wall-clock
+// horizon — the last release plus one period, charged to every run
+// alike — and summarizes it.
+func finishOutcome(g *group, led *platform.Ledger, last, misses int, levels map[int]int) Outcome {
+	n := len(g.jobs)
+	if n > 0 {
+		led.IdleUntil(g.jobs[n-1].release+g.period, last)
 	}
-
-	out.Breakdown = brk
-	out.EnergyJ = brk.Total()
-	out.DurationSec = now
-	if len(g.jobs) > 0 {
-		out.MissRate = float64(out.Misses) / float64(len(g.jobs))
+	brk := led.Breakdown()
+	out := Outcome{
+		EnergyJ:     brk.Total(),
+		Breakdown:   brk,
+		DurationSec: led.Now(),
+		Misses:      misses,
+		Levels:      levelOccupancy(levels, n),
 	}
-	out.Levels = levelOccupancy(levels, len(g.jobs))
+	if n > 0 {
+		out.MissRate = float64(misses) / float64(n)
+	}
 	return out
 }

@@ -9,13 +9,13 @@ package replay
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/stats"
 )
 
 // FleetOptions configures a fleet replay.
@@ -369,9 +369,10 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 			pt.MissRate = float64(pt.Misses) / float64(out.Jobs)
 		}
 		pt.DeltaMissPts = 100 * (pt.MissRate - out.TracedMissRate)
-		pt.DeltaEnergyPctP50 = quantileSorted(deltas[mi], 0.50)
-		pt.DeltaEnergyPctP95 = quantileSorted(deltas[mi], 0.95)
-		pt.DeltaEnergyPctP99 = quantileSorted(deltas[mi], 0.99)
+		sort.Float64s(deltas[mi])
+		pt.DeltaEnergyPctP50 = stats.QuantileSorted(deltas[mi], 0.50)
+		pt.DeltaEnergyPctP95 = stats.QuantileSorted(deltas[mi], 0.95)
+		pt.DeltaEnergyPctP99 = stats.QuantileSorted(deltas[mi], 0.99)
 		out.Margins = append(out.Margins, pt)
 	}
 	for _, pp := range byPlat {
@@ -385,22 +386,4 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		out.SLOTarget = opts.SLO.Target()
 	}
 	return out, nil
-}
-
-// quantileSorted returns the p-quantile of vs (sorted in place) with
-// linear interpolation; NaN when empty. Exact, not streamed: a fleet
-// replay already holds every device in memory, so there is no reason
-// to give up precision.
-func quantileSorted(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(vs)
-	pos := p * float64(len(vs)-1)
-	lo := int(pos)
-	if lo >= len(vs)-1 {
-		return vs[len(vs)-1]
-	}
-	frac := pos - float64(lo)
-	return vs[lo] + frac*(vs[lo+1]-vs[lo])
 }

@@ -3,11 +3,13 @@ package replay
 import (
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/dvfs"
 	"repro/internal/governor"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/stats"
 )
 
 // policy decides a counterfactual level for each traced job. decide
@@ -30,65 +32,36 @@ type policy struct {
 // horizon. Execution times come from each job's cross-level
 // translation, switch latencies from the platform's jitter model
 // under a fixed seed.
-func runPolicy(g *group, p policy, plat *platform.Platform, seed int64) Outcome {
-	var out Outcome
-	var brk Breakdown
+func runPolicy(g *group, p policy, plat *platform.Platform, power *platform.PowerTable, seed int64) Outcome {
+	led := platform.NewLedger(power)
 	levels := map[int]int{}
+	misses := 0
 	rng := rand.New(rand.NewSource(seed))
 
-	now := 0.0
 	cur := plat.MaxLevel()
 	for _, j := range g.jobs {
 		obsLevel, err := plat.Level(j.level)
 		if err != nil {
 			obsLevel = plat.MaxLevel()
 		}
-		if j.release > now {
-			if gap := j.release - now; gap > timeEps {
-				brk.IdleJ += plat.IdlePower(cur) * gap
-			}
-			now = j.release
+		led.IdleUntil(j.release, cur.Index)
+		target, predSec := p.decide(j, cur, led.Now())
+		var lat float64
+		if target.Index != cur.Index && !p.free {
+			lat = plat.SampleSwitchLatency(cur, target, rng)
 		}
-		target, predSec := p.decide(j, cur, now)
-		if predSec > 0 {
-			brk.PredictorJ += plat.ActivePower(cur) * predSec
-			now += predSec
-		}
-		if target.Index != cur.Index {
-			if !p.free {
-				lat := plat.SampleSwitchLatency(cur, target, rng)
-				brk.SwitchJ += plat.SwitchPower(cur, target) * lat
-				now += lat
-			}
-			cur = target
-		}
+		exec := j.timeAt(target, obsLevel, g.rho)
+		led.Run(cur.Index, target.Index, predSec, lat, exec)
+		cur = target
 		levels[cur.Index]++
-		exec := j.timeAt(cur, obsLevel, g.rho)
-		brk.ExecJ += plat.ActivePower(cur) * exec
-		now += exec
-		if now > j.deadline+timeEps {
-			out.Misses++
+		if led.Now() > j.deadline+timeEps {
+			misses++
 		}
 		if p.onEnd != nil {
 			p.onEnd(j, cur, exec)
 		}
 	}
-	if n := len(g.jobs); n > 0 {
-		horizon := g.jobs[n-1].release + g.period
-		if horizon > now {
-			brk.IdleJ += plat.IdlePower(cur) * (horizon - now)
-			now = horizon
-		}
-	}
-
-	out.Breakdown = brk
-	out.EnergyJ = brk.Total()
-	out.DurationSec = now
-	if len(g.jobs) > 0 {
-		out.MissRate = float64(out.Misses) / float64(len(g.jobs))
-	}
-	out.Levels = levelOccupancy(levels, len(g.jobs))
-	return out
+	return finishOutcome(g, &led, cur.Index, misses, levels)
 }
 
 // translatePredictor prices the logged predictor slice time (measured
@@ -183,6 +156,7 @@ func oraclePolicy(g *group, plat *platform.Platform) policy {
 func analyzeGroup(g *group, opts Options) GroupResult {
 	plat := opts.Plat
 	table := platform.MeasureSwitchTable(plat, 500, 0.95, opts.Seed+2000)
+	power := platform.NewPowerTable(plat)
 
 	gr := GroupResult{
 		Workload:  g.workload,
@@ -192,7 +166,7 @@ func analyzeGroup(g *group, opts Options) GroupResult {
 		BudgetSec: g.budget,
 		Rho:       g.rho,
 		Approx:    g.approx,
-		Traced:    reconstruct(g, plat),
+		Traced:    reconstruct(g, plat, power),
 	}
 	for _, j := range g.jobs {
 		if j.predicted {
@@ -235,7 +209,7 @@ func analyzeGroup(g *group, opts Options) GroupResult {
 	outs := make([]Outcome, len(policies))
 	var perf float64
 	for i, p := range policies {
-		outs[i] = runPolicy(g, p, plat, opts.Seed)
+		outs[i] = runPolicy(g, p, plat, power, opts.Seed)
 		if p.name == "performance" {
 			perf = outs[i].EnergyJ
 		}
@@ -254,7 +228,7 @@ func analyzeGroup(g *group, opts Options) GroupResult {
 
 	if gr.Predicted > 0 {
 		for _, m := range opts.Margins {
-			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, opts.Seed)
+			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, power, opts.Seed)
 			gr.MarginSweep = append(gr.MarginSweep, sweepPoint(m, o, perf))
 		}
 		var residuals []float64
@@ -263,13 +237,14 @@ func analyzeGroup(g *group, opts Options) GroupResult {
 				residuals = append(residuals, j.residual)
 			}
 		}
-		base := quantile(residuals, opts.TracedAlpha/(1+opts.TracedAlpha))
+		sort.Float64s(residuals)
+		base := stats.QuantileSorted(residuals, opts.TracedAlpha/(1+opts.TracedAlpha))
 		for _, a := range opts.Alphas {
 			shift := 0.0
 			if !math.IsNaN(base) {
-				shift = quantile(residuals, a/(1+a)) - base
+				shift = stats.QuantileSorted(residuals, a/(1+a)) - base
 			}
-			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, opts.Seed)
+			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, power, opts.Seed)
 			gr.AlphaSweep = append(gr.AlphaSweep, sweepPoint(a, o, perf))
 		}
 	}

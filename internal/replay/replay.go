@@ -24,7 +24,6 @@ package replay
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dvfs"
@@ -82,26 +81,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Breakdown attributes reconstructed energy to activities [J],
-// mirroring sim.EnergyBreakdown.
-type Breakdown struct {
-	ExecJ      float64 `json:"exec_j"`
-	PredictorJ float64 `json:"predictor_j"`
-	SwitchJ    float64 `json:"switch_j"`
-	IdleJ      float64 `json:"idle_j"`
-}
-
-// Total sums the breakdown.
-func (b Breakdown) Total() float64 { return b.ExecJ + b.PredictorJ + b.SwitchJ + b.IdleJ }
-
 // Outcome is one policy's (or the traced reconstruction's) aggregate
 // over a group.
 type Outcome struct {
-	EnergyJ     float64   `json:"energy_j"`
-	Breakdown   Breakdown `json:"breakdown"`
-	DurationSec float64   `json:"duration_sec"`
-	Misses      int       `json:"misses"`
-	MissRate    float64   `json:"miss_rate"`
+	EnergyJ     float64            `json:"energy_j"`
+	Breakdown   platform.Breakdown `json:"breakdown"`
+	DurationSec float64            `json:"duration_sec"`
+	Misses      int                `json:"misses"`
+	MissRate    float64            `json:"miss_rate"`
 	// Levels is per-level decision occupancy, ascending by index.
 	Levels []obs.LevelOccupancy `json:"levels,omitempty"`
 }
@@ -458,24 +445,4 @@ func levelOccupancy(counts map[int]int, total int) []obs.LevelOccupancy {
 		})
 	}
 	return out
-}
-
-// quantile interpolates the p-quantile of unsorted xs (NaN when
-// empty).
-func quantile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := p * float64(len(s)-1)
-	i := int(pos)
-	if i >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := pos - float64(i)
-	return s[i] + frac*(s[i+1]-s[i])
 }

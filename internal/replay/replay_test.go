@@ -21,7 +21,13 @@ import (
 // controller, and merge the simulator's ground truth over them.
 func tracedRun(t *testing.T, gName string, jobs int) (*sim.Result, []obs.DecisionEvent) {
 	t.Helper()
-	w, err := workload.ByName("sha")
+	return tracedRunOn(t, "sha", gName, jobs)
+}
+
+// tracedRunOn is tracedRun on any workload.
+func tracedRunOn(t *testing.T, wl, gName string, jobs int) (*sim.Result, []obs.DecisionEvent) {
+	t.Helper()
+	w, err := workload.ByName(wl)
 	if err != nil {
 		t.Fatal(err)
 	}

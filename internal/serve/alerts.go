@@ -97,7 +97,7 @@ func (g *energyGauges) sync(m *alert.EnergyMeter) {
 	defer g.mu.Unlock()
 	for _, st := range m.Snapshot() {
 		key := st.Workload + "\xff" + st.Device
-		if j := st.TotalJ; j > g.jouleSeen[key] {
+		if j := st.Total(); j > g.jouleSeen[key] {
 			g.joules.With(st.Workload, st.Device).Add(j - g.jouleSeen[key])
 			g.jouleSeen[key] = j
 		}

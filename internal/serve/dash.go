@@ -186,7 +186,7 @@ func (s *Server) energySection(p *render.HTMLPage) {
 		rows = append(rows, []string{
 			st.Workload, st.Device,
 			fmt.Sprintf("%d", st.Jobs+st.OneShots),
-			fmt.Sprintf("%.4g J", st.TotalJ),
+			fmt.Sprintf("%.4g J", st.Total()),
 			fmt.Sprintf("%.4g J", st.PerJobJ),
 			fmt.Sprintf("%.1f%%", 100*st.PredictorShare),
 			burnF, burnS,

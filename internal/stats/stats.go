@@ -44,24 +44,29 @@ func Summarize(xs []float64) Summary {
 // Percentile returns the p-th percentile (0–100) of xs using linear
 // interpolation between order statistics. Empty input yields NaN.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return QuantileSorted(s, p/100)
+}
+
+// QuantileSorted returns the p-quantile (0–1) of the ascending slice s
+// by linear interpolation between order statistics, s[i] +
+// frac·(s[i+1]−s[i]); p outside [0, 1] clamps to the extremes. Empty
+// input yields NaN.
+func QuantileSorted(s []float64, p float64) float64 {
+	if len(s) == 0 {
+		return math.NaN()
+	}
 	if p <= 0 {
 		return s[0]
 	}
-	if p >= 100 {
+	pos := p * float64(len(s)-1)
+	i := int(pos)
+	if i >= len(s)-1 {
 		return s[len(s)-1]
 	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
+	frac := pos - float64(i)
+	return s[i] + frac*(s[i+1]-s[i])
 }
 
 // BoxPlot holds box-and-whisker statistics as the paper defines them

@@ -9,39 +9,32 @@ import (
 
 // EnergyEstimator returns a per-event energy estimate suitable for
 // obs.FleetConfig.EnergyPerJob: when the event names a resolvable
-// platform, it charges the chosen level's active power over the job's
-// measured execution time (the dominant term of the replay engine's
-// attribution — predictor, switch, and idle-slack terms need the full
-// schedule, which a streamed event does not carry); otherwise it falls
-// back to the tracker's frequency-squared proxy. Platform lookups are
-// memoized (under a lock — the fleet tracker's shards call the
-// estimator concurrently), and failed lookups are remembered so a
-// trace full of unknown names does not re-resolve per event.
-func EnergyEstimator() func(e *obs.DecisionEvent) float64 {
+// platform, it prices the job's measured execution time at the chosen
+// level's active power from the platform's PowerTable (the dominant
+// term of the replay engine's attribution — predictor, switch, and
+// idle-slack terms need the full schedule, which a streamed event does
+// not carry); otherwise it reports no estimate and the tracker falls
+// back to its own proxy. Power tables are memoized (under a lock — the
+// fleet tracker's shards call the estimator concurrently), and failed
+// lookups are remembered so a trace full of unknown names does not
+// re-resolve per event.
+func EnergyEstimator() func(e *obs.DecisionEvent) (float64, bool) {
 	var mu sync.Mutex
-	plats := map[string]*platform.Platform{}
-	return func(e *obs.DecisionEvent) float64 {
-		if !e.Done {
-			return 0
-		}
+	tables := map[string]*platform.PowerTable{}
+	return func(e *obs.DecisionEvent) (float64, bool) {
 		mu.Lock()
-		p, ok := plats[e.Platform]
+		t, ok := tables[e.Platform]
 		if !ok {
-			p = nil
-			if e.Platform != "" {
-				if resolved, err := platform.ByName(e.Platform); err == nil {
-					p = resolved
-				}
+			if p, err := platform.ByName(e.Platform); err == nil {
+				t = platform.NewPowerTable(p)
 			}
-			plats[e.Platform] = p
+			tables[e.Platform] = t
 		}
 		mu.Unlock()
-		if p != nil {
-			if l, err := p.Level(e.Level); err == nil {
-				return p.ActivePower(l) * e.ActualExecSec
-			}
+		if t == nil {
+			return 0, false
 		}
-		ghz := float64(e.FreqKHz) / 1e6
-		return ghz * ghz * e.ActualExecSec
+		w, ok := t.Active(e.Level)
+		return w * e.ActualExecSec, ok
 	}
 }
