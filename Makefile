@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml: `make check` runs the
 # exact gate CI enforces.
 
-.PHONY: check fmt vet build test lint alloc-gate bench serve-bench obs-bench trace-smoke replay-smoke replay-bench dash-smoke fleet-smoke fleet-bench fleet-obs-smoke tsdb-smoke tsdb-bench alert-smoke
+.PHONY: check fmt vet build test lint alloc-gate bench serve-smoke obs-bench trace-smoke replay-smoke dash-smoke fleet-smoke fleet-speedup fleet-obs-smoke tsdb-smoke alert-smoke
 
 check: fmt vet build test lint alloc-gate
 
@@ -18,16 +18,18 @@ vet:
 	go vet ./...
 	go run ./cmd/dvfsvet ./...
 
-# Runtime half of the hotpathalloc guarantee: AllocsPerRun == 0 on the
-# core decision path, span capture, the feature hash, and the energy
-# ledger and meter. Run without
-# -race — the detector's instrumentation allocates, so these tests
-# skip themselves under it.
+# Zero-alloc and latency gates that must run without -race: the
+# runtime half of the hotpathalloc guarantee (AllocsPerRun == 0 on the
+# core decision path, span capture, the feature hash, the binary trace
+# encoder, tsdb append, and the energy ledger and meter) plus the tsdb
+# 1h/1s range-query latency bound. The detector's instrumentation
+# allocates and slows everything, so these tests skip themselves
+# under it.
 alloc-gate:
 	go test -count=1 -run 'TestPredictTraceZeroAlloc' ./internal/core
 	go test -count=1 -run 'TestSpanCaptureZeroAlloc|TestFeatureHashZeroAlloc|TestSketchAddZeroAlloc|TestHeavyHittersZeroAlloc' ./internal/obs
 	go test -count=1 -run 'TestBinaryEncodeZeroAlloc' ./internal/trace
-	go test -count=1 -run 'TestAppendZeroAlloc|TestEncoderZeroAlloc' ./internal/tsdb
+	go test -count=1 -run 'TestAppendZeroAlloc|TestEncoderZeroAlloc|TestRangeQueryLatency' ./internal/tsdb
 	go test -count=1 -run 'TestEnergyMeterZeroAlloc' ./internal/alert
 	go test -count=1 -run 'TestLedgerZeroAlloc' ./internal/platform
 
@@ -83,16 +85,6 @@ replay-smoke:
 	cmp /tmp/replay-smoke-1.txt /tmp/replay-smoke-2.txt
 	@echo "replay-smoke: ordering holds and output is bit-identical"
 
-# Replay benchmark: seeded ldecode trace → BENCH_replay.json, compared
-# against the committed baseline (fails on >5% energy / >5-point miss
-# regression). Regenerate the baseline by copying the fresh document.
-replay-bench:
-	go build -o bin/dvfssim ./cmd/dvfssim
-	go build -o bin/dvfsreplay ./cmd/dvfsreplay
-	./bin/dvfssim -workload ldecode -governor prediction -jobs 200 -seed 1 -trace /tmp/replay-bench.jsonl
-	./bin/dvfsreplay -input /tmp/replay-bench.jsonl -seed 1 -json BENCH_replay.new.json \
-		-baseline BENCH_replay.json -max-regress 5 > /dev/null
-
 # Fleet smoke: simulate a heterogeneous fleet into a binary trace,
 # prove determinism (same seed, same bytes), analyze and convert the
 # trace (binary -> jsonl -> binary must be byte-identical, and the
@@ -106,7 +98,7 @@ fleet-smoke:
 	go build -o bin/dvfstrace ./cmd/dvfstrace
 	go build -o bin/dvfsreplay ./cmd/dvfsreplay
 	./bin/dvfsfleet -devices 200 -platforms a7,x86 -workload-mix sha:3,rijndael:1 \
-		-jobs 10 -seed 42 -progress 0 -out /tmp/fleet-smoke.bin -bench /tmp/fleet-smoke-bench.json
+		-jobs 10 -seed 42 -progress 0 -out /tmp/fleet-smoke.bin
 	./bin/dvfsfleet -devices 200 -platforms a7,x86 -workload-mix sha:3,rijndael:1 \
 		-jobs 10 -seed 42 -progress 0 -out /tmp/fleet-smoke-2.bin > /dev/null
 	cmp /tmp/fleet-smoke.bin /tmp/fleet-smoke-2.bin
@@ -127,55 +119,31 @@ fleet-smoke:
 		-workload-mix sha:3,rijndael:1 -seed 42 -progress 4
 	@echo "fleet-smoke: trace round trip, fleet replay, and $(FLEET_SMOKE_DEVICES)-device run pass"
 
-# Fleet benchmark: devices/sec throughput plus the binary-vs-JSONL
-# encoding comparison, written as BENCH_fleet.new.json and compared
-# against the committed BENCH_fleet.json baseline (fails if the
-# jsonl-to-binary ratio drops below 5 or throughput halves). The same
-# trace then replays with 1 and $(FLEET_REPLAY_WORKERS) workers: the
-# reports must be byte-identical (the in-order-commit contract) and
-# the measured speedup lands in the bench document. The ≥4x speedup
-# floor is only asserted on machines with ≥ 8 CPUs — a 1-core CI
-# runner can prove determinism but not parallelism.
-# Regenerate the baseline by copying the fresh document.
-FLEET_BENCH_DEVICES ?= 2000
-FLEET_REPLAY_WORKERS ?= 8
-
-fleet-bench:
+# Fleet replay speedup gate: replay one 2000-device trace with 1 and
+# 8 workers. The reports must be byte-identical (the in-order-commit
+# contract), and on n >= 2 CPUs the 8-worker replay must be at least
+# min(4, 0.6 x min(8, n)) times faster than the 1-worker one: 1.2x on
+# 2 CPUs, 2.4x on 4, 4x on 8 or more. A serialized replay measures
+# about 1x, so the floor fires on a 2-CPU runner too.
+fleet-speedup:
 	go build -o bin/dvfsfleet ./cmd/dvfsfleet
 	go build -o bin/dvfsreplay ./cmd/dvfsreplay
-	./bin/dvfsfleet -devices $(FLEET_BENCH_DEVICES) -platforms a7,x86 \
-		-workload-mix sha:3,rijndael:1 -jobs 10 -seed 42 -progress 0 \
-		-out /tmp/fleet-bench.bin -bench BENCH_fleet.new.json > /dev/null
+	./bin/dvfsfleet -devices 2000 -platforms a7,x86 -workload-mix sha:3,rijndael:1 \
+		-jobs 10 -seed 42 -progress 0 -out /tmp/fleet-speedup.bin > /dev/null
 	@t0=$$(date +%s%N); \
-	./bin/dvfsreplay -input /tmp/fleet-bench.bin -workers 1 > /tmp/fleet-replay-w1.txt; \
+	./bin/dvfsreplay -input /tmp/fleet-speedup.bin -workers 1 > /tmp/fleet-speedup-w1.txt || exit 1; \
 	t1=$$(date +%s%N); \
-	./bin/dvfsreplay -input /tmp/fleet-bench.bin -workers $(FLEET_REPLAY_WORKERS) > /tmp/fleet-replay-wn.txt; \
+	./bin/dvfsreplay -input /tmp/fleet-speedup.bin -workers 8 > /tmp/fleet-speedup-w8.txt || exit 1; \
 	t2=$$(date +%s%N); \
-	cmp /tmp/fleet-replay-w1.txt /tmp/fleet-replay-wn.txt \
-		|| { echo "fleet-bench: replay reports differ across worker counts"; exit 1; }; \
-	python3 -c "import json, os; \
-doc = json.load(open('BENCH_fleet.new.json')); \
-s1 = ($$t1 - $$t0) / 1e9; sn = ($$t2 - $$t1) / 1e9; \
-doc['replay_workers'] = $(FLEET_REPLAY_WORKERS); \
-doc['replay_seconds_w1'] = s1; \
-doc['replay_seconds_wn'] = sn; \
-doc['replay_speedup'] = s1 / sn if sn > 0 else 0.0; \
-doc['replay_cpus'] = os.cpu_count(); \
-json.dump(doc, open('BENCH_fleet.new.json', 'w'), indent=2); \
-assert os.cpu_count() < 8 or doc['replay_speedup'] >= 4, \
-    f\"fleet-bench: replay speedup {doc['replay_speedup']:.2f}x below the 4x floor on {os.cpu_count()} CPUs\"; \
-print(f\"fleet-bench: replay w1 {s1:.2f}s, w$(FLEET_REPLAY_WORKERS) {sn:.2f}s \" \
-      f\"({doc['replay_speedup']:.2f}x on {os.cpu_count()} CPUs), reports byte-identical\")"
-	@python3 -c "import json; \
-new = json.load(open('BENCH_fleet.new.json')); \
-base = json.load(open('BENCH_fleet.json')); \
-ratio = new['jsonl_to_binary_ratio']; \
-assert ratio >= 5, f'fleet-bench: compression ratio {ratio:.2f}x below the 5x floor'; \
-drift = new['binary_bytes_per_event'] / base['binary_bytes_per_event']; \
-assert drift <= 1.1, f'fleet-bench: binary bytes/event grew {drift:.2f}x over baseline'; \
-print(f\"fleet-bench: {new['devices_per_sec']:.0f} devices/sec, \" \
-      f\"{new['binary_bytes_per_event']:.1f} B/event binary vs \" \
-      f\"{new['jsonl_bytes_per_event']:.1f} B/event JSONL ({ratio:.2f}x)\")"
+	cmp /tmp/fleet-speedup-w1.txt /tmp/fleet-speedup-w8.txt \
+		|| { echo "fleet-speedup: replay reports differ across worker counts"; exit 1; }; \
+	awk -v w1=$$((t1 - t0)) -v w8=$$((t2 - t1)) -v cpus=$$(nproc) 'BEGIN { \
+		speedup = w1 / w8; floor = 0.6 * (cpus < 8 ? cpus : 8); if (floor > 4) floor = 4; \
+		printf "fleet-speedup: replay w1 %.2fs, w8 %.2fs (%.2fx on %d CPUs), reports byte-identical\n", \
+			w1 / 1e9, w8 / 1e9, speedup, cpus; \
+		if (cpus >= 2 && speedup < floor) { \
+			printf "fleet-speedup: %.2fx below the %.1fx floor for %d CPUs\n", speedup, floor, cpus; exit 1 \
+		} }'
 
 # Fleet-observability smoke: simulate a fleet with inline health
 # scoring, roll the trace up offline with dvfstrace -by-device, prove
@@ -243,19 +211,18 @@ dash-smoke:
 	echo "dash-smoke: dashboard renders and /v1/events streams"; \
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; exit 0
 
-# Serving benchmark: start dvfsd, train through the API, replay a job
-# stream, write BENCH_serve.json. Tunables: SERVE_JOBS, SERVE_CONNS.
-SERVE_ADDR  ?= 127.0.0.1:8090
-SERVE_JOBS  ?= 2000
-SERVE_CONNS ?= 16
+# Serving smoke: start dvfsd, train ldecode through the API, and
+# replay a 200-job stream over 4 connections; dvfsload exits 1 on any
+# request error.
+SERVE_ADDR ?= 127.0.0.1:8090
 
-serve-bench:
+serve-smoke:
 	go build -o bin/dvfsd ./cmd/dvfsd
 	go build -o bin/dvfsload ./cmd/dvfsload
 	@./bin/dvfsd -addr $(SERVE_ADDR) & pid=$$!; \
 	trap 'kill $$pid 2>/dev/null' EXIT; \
 	./bin/dvfsload -addr http://$(SERVE_ADDR) -workload ldecode -train \
-		-jobs $(SERVE_JOBS) -conns $(SERVE_CONNS) -json BENCH_serve.json; \
+		-jobs 200 -conns 4; \
 	status=$$?; kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; exit $$status
 
 # Telemetry-history smoke: boot dvfsd with the embedded time-series
@@ -356,25 +323,3 @@ alert-smoke:
 		|| { echo "alert-smoke: incident journal missing transitions"; exit 1; }; \
 	echo "alert-smoke: fire, timeline, overlay, resolve, and journal all live"; \
 	rm -rf $$dir; exit 0
-
-# Telemetry-store benchmark: simulate a decision trace, replay it
-# through the scrape path into the store, and gate on the acceptance
-# numbers — compression ≥ 8x vs raw 16-byte points, zero allocations
-# per append, 1h/1s range query under 10ms. Writes BENCH_tsdb.json.
-tsdb-bench:
-	go build -o bin/dvfssim ./cmd/dvfssim
-	go build -o bin/dvfstsdb ./cmd/dvfstsdb
-	./bin/dvfssim -workload sha -governor prediction -jobs 3000 -trace /tmp/tsdb-bench.jsonl > /dev/null
-	./bin/dvfstsdb -bench -trace /tmp/tsdb-bench.jsonl -out BENCH_tsdb.json
-	@python3 -c "import json; \
-doc = json.load(open('BENCH_tsdb.json')); \
-assert doc['compression_vs_raw16'] >= 8, \
-    f\"tsdb-bench: compression {doc['compression_vs_raw16']:.2f}x below the 8x floor\"; \
-assert doc['append_allocs_per_op'] == 0, \
-    f\"tsdb-bench: append allocates {doc['append_allocs_per_op']}/op\"; \
-assert doc['query_1h_1s_ms'] < 10, \
-    f\"tsdb-bench: 1h/1s query took {doc['query_1h_1s_ms']:.2f}ms (floor 10ms)\"; \
-print(f\"tsdb-bench: {doc['bytes_per_sample']:.2f} B/sample \" \
-      f\"({doc['compression_vs_raw16']:.1f}x vs raw16), \" \
-      f\"append {doc['append_ns_per_op']:.0f} ns/op {doc['append_allocs_per_op']:.0f} allocs, \" \
-      f\"1h/1s query {doc['query_1h_1s_ms']:.2f}ms\")"

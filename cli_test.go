@@ -275,8 +275,8 @@ func TestCLIDvfslintFlagsCraftedProgram(t *testing.T) {
 	}
 }
 
-// dvfsreplay failure paths: unknown format/platform, bad tolerances,
-// and a replayable-events check on empty input.
+// dvfsreplay failure paths: unknown format/platform, a negative
+// filter, and an unreadable input.
 func TestCLIDvfsreplayRejectsBadUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -289,7 +289,6 @@ func TestCLIDvfsreplayRejectsBadUsage(t *testing.T) {
 		{"unknown format", []string{"./cmd/dvfsreplay", "-input", "x", "-format", "xml"}, "unknown format"},
 		{"unknown platform", []string{"./cmd/dvfsreplay", "-input", "x", "-platform", "quantum"}, "unknown platform"},
 		{"negative last", []string{"./cmd/dvfsreplay", "-input", "x", "-last", "-1"}, "-last must be non-negative"},
-		{"bad tolerance", []string{"./cmd/dvfsreplay", "-input", "x", "-max-regress", "0"}, "-max-regress must be positive"},
 		{"unreadable input", []string{"./cmd/dvfsreplay", "-input", "/nonexistent/x.jsonl"}, "no such file"},
 	}
 	for _, tc := range tests {
@@ -403,11 +402,8 @@ func TestCLISimTraceIntoDvfsreplay(t *testing.T) {
 		t.Fatalf("stdout is not JSONL:\n%.200s", jsonl)
 	}
 
-	dir := t.TempDir()
-	bench := dir + "/BENCH_replay.json"
-	html := dir + "/report.html"
-	replayCmd := exec.Command("go", "run", "./cmd/dvfsreplay",
-		"-check", "-json", bench, "-html", html)
+	html := t.TempDir() + "/report.html"
+	replayCmd := exec.Command("go", "run", "./cmd/dvfsreplay", "-check", "-html", html)
 	replayCmd.Stdin = bytes.NewReader(jsonl)
 	out, err := replayCmd.CombinedOutput()
 	if err != nil {
@@ -424,17 +420,6 @@ func TestCLISimTraceIntoDvfsreplay(t *testing.T) {
 	page, err := os.ReadFile(html)
 	if err != nil || !strings.Contains(string(page), "<svg") {
 		t.Errorf("HTML report missing or chartless: %v", err)
-	}
-
-	// The bench document round-trips as its own baseline.
-	again := exec.Command("go", "run", "./cmd/dvfsreplay", "-baseline", bench)
-	again.Stdin = bytes.NewReader(jsonl)
-	out, err = again.CombinedOutput()
-	if err != nil {
-		t.Fatalf("baseline self-compare: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "baseline comparison passed") {
-		t.Errorf("missing baseline pass message:\n%s", out)
 	}
 
 	// The shared filter flags slice the same log in both tools.
@@ -554,26 +539,15 @@ func TestCLIFleetPipeline(t *testing.T) {
 	dir := t.TempDir()
 	bin := dir + "/fleet.bin"
 	summary := dir + "/fleet.json"
-	bench := dir + "/BENCH_fleet.json"
 	fleetArgs := []string{"./cmd/dvfsfleet", "-devices", "6", "-platforms", "a7,x86",
 		"-workload-mix", "sha:1", "-jobs", "8", "-seed", "5", "-progress", "0"}
 
-	out := runCLI(t, append(fleetArgs, "-out", bin, "-summary", summary, "-bench", bench)...)
+	out := runCLI(t, append(fleetArgs, "-out", bin, "-summary", summary)...)
 	for _, want := range []string{"fleet   6 devices, 48 jobs", "device energy J", "platform a7", "platform x86", "trace   48 events"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fleet summary missing %q:\n%s", want, out)
 		}
 	}
-	benchDoc, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"devices_per_sec"`, `"binary_bytes_per_event"`, `"jsonl_to_binary_ratio"`} {
-		if !strings.Contains(string(benchDoc), want) {
-			t.Errorf("bench document missing %q:\n%s", want, benchDoc)
-		}
-	}
-
 	// Determinism: a second run with the same seed writes identical bytes.
 	bin2 := dir + "/fleet2.bin"
 	runCLI(t, append(fleetArgs, "-out", bin2)...)
@@ -650,8 +624,8 @@ func TestCLIDvfsfleetRejectsBadUsage(t *testing.T) {
 	}
 }
 
-// -check and -baseline are single-device contracts; a fleet trace
-// must be rejected rather than silently mis-analyzed.
+// -check is a single-device contract; a fleet trace must be rejected
+// rather than silently mis-analyzed.
 func TestCLIDvfsreplayChecksAreSingleDevice(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -665,40 +639,30 @@ func TestCLIDvfsreplayChecksAreSingleDevice(t *testing.T) {
 	}
 }
 
-// The telemetry-history pipeline offline: simulate decisions, replay
-// them through the store via dvfstsdb -bench, and hold the bench to
-// the acceptance numbers (compression ≥ 8× vs raw 16-byte points,
-// zero allocations on the append hot path).
-func TestCLIDvfstsdbBenchOnSimTrace(t *testing.T) {
+// The benchmark-document flags are gone: each is now an unknown flag,
+// a usage error with exit status 2.
+func TestCLIRetiredBenchFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
 	}
-	log := t.TempDir() + "/dec.jsonl"
-	runCLI(t, "./cmd/dvfssim", "-workload", "sha", "-governor", "prediction", "-jobs", "400", "-trace", log)
-	out := runCLI(t, "./cmd/dvfstsdb", "-bench", "-trace", log, "-samples", "5000")
-	var res struct {
-		Source       string  `json:"source"`
-		Samples      int64   `json:"samples"`
-		Compression  float64 `json:"compression_vs_raw16"`
-		AppendNs     float64 `json:"append_ns_per_op"`
-		AppendAllocs float64 `json:"append_allocs_per_op"`
-		QueryMs      float64 `json:"query_1h_1s_ms"`
-		QueryPoints  int     `json:"query_points"`
+	tests := []struct {
+		flag string
+		args []string
+	}{
+		{"-baseline", []string{"./cmd/dvfsreplay", "-input", "x", "-baseline", "x"}},
+		{"-bench", []string{"./cmd/dvfsfleet", "-bench", "x"}},
+		{"-bench", []string{"./cmd/dvfstsdb", "-bench"}},
 	}
-	if err := json.Unmarshal([]byte(out), &res); err != nil {
-		t.Fatalf("bench output is not JSON: %v\n%s", err, out)
-	}
-	if res.Source != "trace" || res.Samples == 0 {
-		t.Fatalf("bench ingested nothing: %+v", res)
-	}
-	if res.Compression < 8 {
-		t.Errorf("compression %.2fx < 8x", res.Compression)
-	}
-	if res.AppendAllocs != 0 {
-		t.Errorf("append allocated %.4f/op", res.AppendAllocs)
-	}
-	if res.QueryPoints != 3600 || res.QueryMs <= 0 || res.QueryMs > 100 {
-		t.Errorf("1h/1s query: %d points in %.3fms", res.QueryPoints, res.QueryMs)
+	for _, tc := range tests {
+		t.Run(tc.args[0][len("./cmd/"):], func(t *testing.T) {
+			out := failCLI(t, tc.args...)
+			if !strings.Contains(out, "flag provided but not defined: "+tc.flag+"\n") {
+				t.Errorf("%s should be an unknown flag:\n%s", tc.flag, out)
+			}
+			if !strings.Contains(out, "exit status 2") {
+				t.Errorf("unknown flag should exit 2:\n%s", out)
+			}
+		})
 	}
 }
 

@@ -27,9 +27,7 @@
 // EWMAs through the shared FleetTracker) and appends the top-N worst
 // devices with attribution to the summary.
 //
-// -summary writes the machine-readable fleet result as JSON; -bench
-// writes a BENCH-style JSON document (devices/sec, bytes/event for the
-// binary encoding vs JSONL) for CI trend tracking.
+// -summary writes the machine-readable fleet result as JSON.
 //
 // Exit status: 0 on success, 2 on usage errors, 1 on run failures.
 package main
@@ -40,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -60,7 +57,6 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "write the fleet decision trace (binary) to this path (- for stdout)")
 	summary := flag.String("summary", "", "write the fleet result as JSON to this path")
-	bench := flag.String("bench", "", "write a BENCH-style JSON document to this path")
 	topk := flag.Int("topk", 0, "score device health during the run and print the top-N worst devices (0 disables)")
 	progressEvery := flag.Int("progress", 10, "progress lines per run on stderr (0 disables)")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine)
@@ -108,8 +104,6 @@ func main() {
 	sumOut := io.Writer(os.Stdout)
 
 	var traceFile *os.File
-	var binCount *countWriter
-	var jsonlCount *countWriter
 	var sinks []obs.Sink
 	if *out != "" {
 		w := io.Writer(os.Stdout)
@@ -123,17 +117,7 @@ func main() {
 			traceFile = f
 			w = f
 		}
-		binCount = &countWriter{w: w}
-		sinks = append(sinks, trace.NewBinaryWriter(binCount))
-	} else if *bench != "" {
-		// Bench without a trace path still measures the encodings
-		// against a discarded stream.
-		binCount = &countWriter{w: io.Discard}
-		sinks = append(sinks, trace.NewBinaryWriter(binCount))
-	}
-	if *bench != "" {
-		jsonlCount = &countWriter{w: io.Discard}
-		sinks = append(sinks, obs.NewJSONLSink(jsonlCount))
+		sinks = append(sinks, trace.NewBinaryWriter(w))
 	}
 	var health *obs.FleetTracker
 	if *topk > 0 {
@@ -193,11 +177,6 @@ func main() {
 			fail(err)
 		}
 	}
-	if *bench != "" {
-		if err := writeJSONFile(*bench, benchDoc(res, elapsed, binCount, jsonlCount, cfg)); err != nil {
-			fail(err)
-		}
-	}
 }
 
 // splitList splits a comma-separated flag value, dropping empties.
@@ -234,18 +213,6 @@ func writeHealth(w io.Writer, t *obs.FleetTracker) {
 				d.DriftEWMA, d.EnergyPerJob, d.Score, d.Class, d.Attribution)
 		}
 	}
-}
-
-// countWriter counts bytes on their way to w.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // teeSink fans every event out to each sink; Close closes all and
@@ -305,33 +272,4 @@ func writeJSONFile(path string, v any) error {
 		return err
 	}
 	return f.Close()
-}
-
-// benchDoc shapes the run into the repo's BENCH JSON convention:
-// throughput plus the binary-vs-JSONL encoding comparison when both
-// encodings were measured.
-func benchDoc(res *fleet.Result, elapsed time.Duration, binCount, jsonlCount *countWriter, cfg fleet.Config) map[string]any {
-	doc := map[string]any{
-		"bench":           "fleet",
-		"devices":         res.Devices,
-		"jobs":            res.Jobs,
-		"governor":        cfg.Governor,
-		"workers":         cfg.Workers,
-		"gomaxprocs":      runtime.GOMAXPROCS(0),
-		"seconds":         elapsed.Seconds(),
-		"devices_per_sec": float64(res.Devices) / elapsed.Seconds(),
-		"events":          res.Events,
-	}
-	if binCount != nil && res.Events > 0 {
-		doc["binary_bytes"] = binCount.n
-		doc["binary_bytes_per_event"] = float64(binCount.n) / float64(res.Events)
-	}
-	if jsonlCount != nil && res.Events > 0 {
-		doc["jsonl_bytes"] = jsonlCount.n
-		doc["jsonl_bytes_per_event"] = float64(jsonlCount.n) / float64(res.Events)
-		if binCount != nil && binCount.n > 0 {
-			doc["jsonl_to_binary_ratio"] = float64(jsonlCount.n) / float64(binCount.n)
-		}
-	}
-	return doc
 }

@@ -24,23 +24,18 @@
 //
 //	dvfssim -workload ldecode -governor prediction -trace - | dvfsreplay -html report.html
 //	dvfsreplay -input dec.jsonl -platform a7 -format json
-//	dvfsreplay -input dec.jsonl -json BENCH_replay.json -baseline BENCH_replay.json -max-regress 5
 //	dvfsreplay -input dec.jsonl -check
 //	dvfsreplay -input fleet.bin -html fleet.html          # fleet margin sweep
 //	dvfsreplay -input fleet.bin -device dev-0000003 -fleet off
 //
-// -baseline compares against a committed BENCH_replay.json and exits
-// 1 when energy regresses more than -max-regress percent (or a miss
-// rate by more than -max-regress points). -check asserts the physical
-// ordering every healthy prediction trace satisfies: oracle ≤ traced
-// ≤ performance energy.
+// -check asserts the physical ordering every healthy prediction trace
+// satisfies: oracle ≤ traced ≤ performance energy.
 //
 // Exit status: 0 on success, 2 on usage errors, 1 on analysis
-// failures, regressions, or ordering violations.
+// failures or ordering violations.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -60,10 +55,7 @@ func main() {
 	rho := flag.Float64("rho", 0, "fallback memory-time fraction for cross-frequency time translation (0 → 0.3; predicted jobs estimate it from the trace)")
 	alpha := flag.Float64("alpha", 100, "α the traced model was trained with (anchors the α sweep)")
 	format := flag.String("format", "text", "stdout format: text or json")
-	jsonOut := flag.String("json", "", "also write the machine-readable bench document to this file")
 	htmlOut := flag.String("html", "", "also write a self-contained HTML report to this file")
-	baseline := flag.String("baseline", "", "compare against this committed bench document and fail on regression")
-	maxRegress := flag.Float64("max-regress", 5, "regression tolerance: energy percent / miss-rate points vs -baseline")
 	check := flag.Bool("check", false, "assert oracle ≤ traced ≤ performance energy ordering per group")
 	workers := flag.Int("workers", 0, "fleet replay parallelism: devices replayed concurrently (0 → GOMAXPROCS); reports are byte-identical at any setting")
 	sloTarget := flag.Float64("slo-target", 0, "fleet replay: track keyed SLO burn (fleet/platform/workload) against this miss-rate target (0 disables)")
@@ -77,8 +69,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	log, err := logFlags.Logger(os.Stderr)
-	if err != nil {
+	if _, err := logFlags.Logger(os.Stderr); err != nil {
 		usageErr(err)
 	}
 	if *format != "text" && *format != "json" {
@@ -86,9 +77,6 @@ func main() {
 	}
 	if filter.Last < 0 {
 		usageErr(fmt.Errorf("-last must be non-negative"))
-	}
-	if *maxRegress <= 0 {
-		usageErr(fmt.Errorf("-max-regress must be positive"))
 	}
 	if *fleetMode != "auto" && *fleetMode != "on" && *fleetMode != "off" {
 		usageErr(fmt.Errorf("unknown -fleet mode %q (use auto, on, or off)", *fleetMode))
@@ -133,21 +121,27 @@ func main() {
 		}
 	}
 	if isFleet {
-		if *baseline != "" || *check {
-			usageErr(fmt.Errorf("-baseline and -check are single-device modes; use -device to select one device or -fleet off"))
+		if *check {
+			usageErr(fmt.Errorf("-check is a single-device mode; use -device to select one device or -fleet off"))
 		}
 		var slo *obs.SLOTracker
 		if *sloTarget > 0 {
 			slo = obs.NewSLOTracker(obs.SLOConfig{Target: *sloTarget, MaxKeys: 64})
 		}
-		runFleet(events, replay.FleetOptions{
+		res, err := replay.RunFleet(events, replay.FleetOptions{
 			Plat:        plat,
 			Seed:        *seed,
 			Rho:         *rho,
 			TracedAlpha: *alpha,
 			Workers:     *workers,
 			SLO:         slo,
-		}, *format, *jsonOut, *htmlOut, fail)
+		})
+		if err != nil {
+			fail(err)
+		}
+		if err := writeReport(res, *format, *htmlOut); err != nil {
+			fail(err)
+		}
 		return
 	}
 	res, err := replay.Run(events, replay.Options{
@@ -162,121 +156,47 @@ func main() {
 	if len(res.Groups) == 0 {
 		fail(fmt.Errorf("no replayable (completed) events in the log after filtering"))
 	}
-
-	if *format == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fail(err)
-		}
-	} else {
-		res.WriteText(os.Stdout)
-	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteJSON(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteHTML(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-	}
-
-	exit := 0
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
-		if err != nil {
-			fail(err)
-		}
-		base, err := replay.ReadBench(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		regressions, notes := replay.Compare(res, base, replay.CompareOptions{
-			MaxEnergyRegressPct: *maxRegress,
-			MaxMissRegressPts:   *maxRegress,
-		})
-		for _, n := range notes {
-			log.Info("baseline drift", "note", n)
-		}
-		for _, r := range regressions {
-			fmt.Fprintln(os.Stderr, "dvfsreplay: REGRESSION:", r)
-			exit = 1
-		}
-		if len(regressions) == 0 {
-			fmt.Fprintf(os.Stderr, "dvfsreplay: baseline comparison passed (%d groups, tolerance %.1f%%)\n",
-				len(res.Groups), *maxRegress)
-		}
+	if err := writeReport(res, *format, *htmlOut); err != nil {
+		fail(err)
 	}
 	if *check {
 		if viol := res.CheckOrdering(1); len(viol) > 0 {
 			for _, v := range viol {
 				fmt.Fprintln(os.Stderr, "dvfsreplay: ORDERING:", v)
 			}
-			exit = 1
-		} else {
-			fmt.Fprintln(os.Stderr, "dvfsreplay: energy ordering check passed (oracle ≤ traced ≤ performance)")
+			os.Exit(1)
 		}
+		fmt.Fprintln(os.Stderr, "dvfsreplay: energy ordering check passed (oracle ≤ traced ≤ performance)")
 	}
-	os.Exit(exit)
 }
 
-// runFleet renders a fleet-wide replay to stdout and the optional
-// json/html files, then exits via the shared failure path on error.
-func runFleet(events []obs.DecisionEvent, opts replay.FleetOptions, format, jsonOut, htmlOut string, fail func(error)) {
-	res, err := replay.RunFleet(events, opts)
-	if err != nil {
-		fail(err)
-	}
+// report is what the single-device and fleet replays both render.
+type report interface {
+	WriteText(io.Writer)
+	WriteJSON(io.Writer) error
+	WriteHTML(io.Writer) error
+}
+
+// writeReport renders rep to stdout in format and, when htmlOut is
+// set, as a self-contained HTML page.
+func writeReport(rep report, format, htmlOut string) error {
 	if format == "json" {
-		if err := res.WriteJSON(os.Stdout); err != nil {
-			fail(err)
+		if err := rep.WriteJSON(os.Stdout); err != nil {
+			return err
 		}
 	} else {
-		res.WriteText(os.Stdout)
+		rep.WriteText(os.Stdout)
 	}
-	if jsonOut != "" {
-		f, err := os.Create(jsonOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteJSON(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
+	if htmlOut == "" {
+		return nil
 	}
-	if htmlOut != "" {
-		f, err := os.Create(htmlOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := res.WriteHTML(f); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
+	f, err := os.Create(htmlOut)
+	if err != nil {
+		return err
 	}
+	if err := rep.WriteHTML(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,6 +1,6 @@
-// Command dvfstsdb inspects, queries, compacts, and benchmarks the
-// embedded telemetry store (the -tsdb-dir directory a dvfsd daemon
-// writes) offline — no daemon required.
+// Command dvfstsdb inspects, queries, and compacts the embedded
+// telemetry store (the -tsdb-dir directory a dvfsd daemon writes)
+// offline — no daemon required.
 //
 // Usage:
 //
@@ -8,32 +8,25 @@
 //	dvfstsdb -dir DIR -query METRIC [-labels a=b,c=d]
 //	         [-from T] [-to T] [-step 30s] [-agg mean] [-json]
 //	dvfstsdb -dir DIR -compact [-keep 6h]      # rewrite segments
-//	dvfstsdb -bench [-trace dec.jsonl] [-samples N] [-out bench.json]
 //
 // Times accept RFC3339, unix seconds, or offsets relative to the
 // newest stored sample ("-15m"). -compact rewrites every segment from
 // the recovered chunks — reclaiming torn tails, dropped series, and
 // (with -keep) expired history — then atomically swaps the new
-// segments in. -bench measures compression, append cost, and range-
-// query latency on dvfssim-generated (or synthetic) telemetry and
-// writes the numbers as JSON for the Makefile's tsdb-bench gate.
+// segments in.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/tsdb"
 )
 
@@ -48,18 +41,12 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON instead of tables")
 	compact := flag.Bool("compact", false, "rewrite the store's segments in place")
 	keep := flag.Duration("keep", 0, "with -compact, drop samples older than this before the newest (0 = keep all)")
-	bench := flag.Bool("bench", false, "run the offline benchmark instead of reading a store")
-	trace := flag.String("trace", "", "with -bench, ingest telemetry derived from this decision-trace JSONL (dvfssim -trace)")
-	samples := flag.Int("samples", 60000, "with -bench, samples for the append microbenchmark")
-	out := flag.String("out", "", "with -bench, write the results JSON here (default stdout)")
 	flag.Parse()
 
 	err := func() error {
 		switch {
-		case *bench:
-			return runBench(*trace, *samples, *out)
 		case *dir == "":
-			return fmt.Errorf("missing -dir (or -bench)")
+			return fmt.Errorf("missing -dir")
 		case *compact:
 			return runCompact(*dir, *keep)
 		case *query != "":
@@ -308,215 +295,4 @@ func runCompact(dir string, keep time.Duration) error {
 	fmt.Printf("samples    %d -> %d (%d copied)\n", before.Samples, st.Samples, copied)
 	fmt.Printf("disk       %d -> %d bytes\n", before.DiskBytes, st.DiskBytes)
 	return nil
-}
-
-// benchResult is the tsdb-bench JSON the Makefile gate asserts on.
-type benchResult struct {
-	Source            string  `json:"source"`
-	Samples           int64   `json:"samples"`
-	BytesPerSample    float64 `json:"bytes_per_sample"`
-	CompressionVsRaw  float64 `json:"compression_vs_raw16"`
-	AppendNsPerOp     float64 `json:"append_ns_per_op"`
-	AppendAllocsPerOp float64 `json:"append_allocs_per_op"`
-	Query1h1sMillis   float64 `json:"query_1h_1s_ms"`
-	QueryPoints       int     `json:"query_points"`
-}
-
-func runBench(tracePath string, appendN int, outPath string) error {
-	if appendN < 1000 {
-		appendN = 1000
-	}
-	if appendN > 60000 {
-		appendN = 60000 // one chunk holds at most 65535 samples
-	}
-	res := benchResult{Source: "synthetic"}
-
-	// Compression: ingest realistic telemetry — series derived from a
-	// dvfssim decision trace when given, synthetic scrape-shaped series
-	// otherwise — then seal everything and compare against raw 16-byte
-	// (t, v) points.
-	store, err := tsdb.Open(tsdb.Options{Retention: -1})
-	if err != nil {
-		return err
-	}
-	if tracePath != "" {
-		res.Source = "trace"
-		if err := ingestTrace(store, tracePath); err != nil {
-			return err
-		}
-	} else {
-		ingestSynthetic(store)
-	}
-	if err := store.Close(); err != nil {
-		return err
-	}
-	st := store.Stats()
-	if st.Samples == 0 {
-		return fmt.Errorf("no samples ingested (empty trace?)")
-	}
-	res.Samples = st.Samples
-	res.BytesPerSample = st.BytesPerSamp
-	res.CompressionVsRaw = 16 / st.BytesPerSamp
-
-	// Append cost: time appendN scrape-shaped samples into one series
-	// sized to avoid block rotation, so the number is the pure hot
-	// path. Mallocs are counted around the loop on a single OS thread;
-	// the minimum over a few repetitions discards stray runtime
-	// allocations (timer wheels, GC assists) that are not the store's.
-	ts := make([]int64, appendN)
-	vs := make([]float64, appendN)
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
-	for i := range ts {
-		ts[i] = base + int64(i)*5000
-		vs[i] = 100 + 3*math.Sin(float64(i)/40) + float64(i%7)
-	}
-	res.AppendNsPerOp = math.Inf(1)
-	res.AppendAllocsPerOp = math.Inf(1)
-	for rep := 0; rep < 3; rep++ {
-		benchStore, err := tsdb.Open(tsdb.Options{
-			Retention: -1,
-			BlockDur:  1000 * time.Hour,
-			// Sized for the encoder's worst case so the chunk never fills:
-			// the loop below is pure hot path, no rotations.
-			ChunkBytes: appendN*19 + 64,
-		})
-		if err != nil {
-			return err
-		}
-		sr := benchStore.Series("bench_metric", tsdb.Label{Name: "shape", Value: "scrape"})
-		sr.Append(base-5000, 0) // allocate the head buffer off the clock
-		runtime.LockOSThread()
-		var m0, m1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		for i := range ts {
-			sr.Append(ts[i], vs[i])
-		}
-		elapsed := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		runtime.UnlockOSThread()
-		res.AppendNsPerOp = math.Min(res.AppendNsPerOp, float64(elapsed.Nanoseconds())/float64(appendN))
-		res.AppendAllocsPerOp = math.Min(res.AppendAllocsPerOp, float64(m1.Mallocs-m0.Mallocs)/float64(appendN))
-		benchStore.Close()
-	}
-
-	// Range query: one hour at 1 s resolution (3600 samples), median
-	// latency over repeated raw queries.
-	qStore, err := tsdb.Open(tsdb.Options{Retention: -1})
-	if err != nil {
-		return err
-	}
-	qs := qStore.Series("bench_query")
-	for i := 0; i < 3600; i++ {
-		qs.Append(base+int64(i)*1000, 50+10*math.Sin(float64(i)/60)+float64(i%5))
-	}
-	var lat []float64
-	q := tsdb.Query{Metric: "bench_query", FromMs: base, ToMs: base + 3599*1000}
-	for i := 0; i < 51; i++ {
-		t0 := time.Now()
-		out, err := qStore.Query(q)
-		if err != nil {
-			return err
-		}
-		if i == 0 {
-			if len(out) != 1 {
-				return fmt.Errorf("query matched %d series, want 1", len(out))
-			}
-			res.QueryPoints = len(out[0].Points)
-		}
-		lat = append(lat, float64(time.Since(t0).Nanoseconds())/1e6)
-	}
-	sort.Float64s(lat)
-	res.Query1h1sMillis = lat[len(lat)/2]
-	qStore.Close()
-
-	enc, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	enc = append(enc, '\n')
-	if outPath != "" {
-		if err := os.WriteFile(outPath, enc, 0o644); err != nil {
-			return err
-		}
-	}
-	_, err = os.Stdout.Write(enc)
-	return err
-}
-
-// ingestTrace replays a decision-trace JSONL through an obs.Registry
-// and the same scrape loop dvfsd runs, so the stored telemetry has
-// exactly the production shape: counters ticking up, histogram
-// quantiles moving slowly, gauges stepping between levels. One scrape
-// tick per decision, five simulated seconds apart.
-func ingestTrace(store *tsdb.Store, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	reg := obs.NewRegistry()
-	decisions := reg.CounterVec("sim_decisions_total",
-		"Decisions by workload and chosen level.", "workload", "level")
-	missTotal := reg.CounterVec("sim_misses_total",
-		"Deadline misses by workload.", "workload")
-	execH := reg.HistogramVec("sim_exec_seconds",
-		"Actual job execution time.", obs.LogLinearBuckets(1e-4, 10, 5), "workload")
-	residH := reg.HistogramVec("sim_residual_seconds",
-		"Prediction residual magnitude.", obs.LogLinearBuckets(1e-6, 1, 5), "workload")
-	levelG := reg.GaugeVec("sim_level", "Last chosen DVFS level.", "workload")
-	freqG := reg.GaugeVec("sim_freq_khz", "Last chosen frequency.", "workload")
-	scraper := tsdb.NewScraper(store, reg, 5*time.Second, nil)
-
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	line, tick := 0, 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var e obs.DecisionEvent
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return fmt.Errorf("%s:%d: %w", path, line, err)
-		}
-		decisions.With(e.Workload, strconv.Itoa(e.Level)).Inc()
-		levelG.With(e.Workload).Set(float64(e.Level))
-		freqG.With(e.Workload).Set(float64(e.FreqKHz))
-		if e.Done {
-			execH.With(e.Workload).Observe(e.ActualExecSec)
-			if e.Missed {
-				missTotal.With(e.Workload).Inc()
-			}
-			if e.Predicted {
-				residH.With(e.Workload).Observe(math.Abs(e.ResidualSec))
-			}
-		}
-		scraper.Tick(base.Add(time.Duration(tick) * 5 * time.Second))
-		tick++
-	}
-	return sc.Err()
-}
-
-// ingestSynthetic fills the store with scrape-shaped series (slow
-// drifts, counters, step changes) when no trace is supplied. Gauge
-// values carry a bounded mantissa, mirroring what obs.Scrape emits —
-// raw full-mantissa floats never reach the store in production.
-func ingestSynthetic(store *tsdb.Store) {
-	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
-	for s := 0; s < 8; s++ {
-		sr := store.Series("synthetic_gauge", tsdb.Label{Name: "n", Value: strconv.Itoa(s)})
-		ctr := store.Series("synthetic_counter", tsdb.Label{Name: "n", Value: strconv.Itoa(s)})
-		total := 0.0
-		for i := 0; i < 4000; i++ {
-			t := base + int64(i)*5000
-			g := 100 + 5*math.Sin(float64(i+s*37)/50) + float64((i*7+s)%11)
-			sr.Append(t, math.Float64frombits(math.Float64bits(g)&^(1<<40-1)))
-			total += float64((i + s) % 13)
-			ctr.Append(t, total)
-		}
-	}
 }

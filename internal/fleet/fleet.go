@@ -6,14 +6,13 @@
 // devices?". fleet answers them by driving N simulated devices (each
 // with its own platform model, workload, phase offset, and seeded
 // RNG) through a worker pool and aggregating per-device energy and
-// miss distributions online with the obs streaming-quantile
-// histograms.
+// miss distributions online with obs t-digest quantile sketches.
 //
 // Determinism is load-bearing: for a fixed Config the aggregate
 // result and every emitted trace byte are identical regardless of
 // worker count or scheduling. Workers finish devices out of order;
 // a commit stage reassembles them in device-index order before any
-// float is summed, any histogram observed, or any event emitted, so
+// float is summed, any sketch updated, or any event emitted, so
 // the accumulation order — and therefore every bit of the output —
 // is fixed by the configuration alone. The cross-check in
 // TestFleetMatchesPerDeviceSims (aggregate == sum of standalone
@@ -378,7 +377,7 @@ func Run(cfg Config) (*Result, error) {
 	}()
 
 	// Commit stage: reassemble device order, then fold. Everything
-	// order-sensitive (float sums, histogram observations, trace
+	// order-sensitive (float sums, sketch updates, trace
 	// emission, sequence numbering) happens here, single-threaded, in
 	// device-index order.
 	agg := newAggregator(cfg)
@@ -478,8 +477,6 @@ func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite
 type aggregator struct {
 	cfg        Config
 	res        Result
-	energyH    *obs.Histogram
-	missH      *obs.Histogram
 	energySk   *obs.QuantileSketch
 	missSk     *obs.QuantileSketch
 	byPlatform map[string]*GroupAgg
@@ -488,25 +485,8 @@ type aggregator struct {
 }
 
 func newAggregator(cfg Config) *aggregator {
-	reg := obs.NewRegistry()
-	// Device energy spans idle 20-job traces (~tens of mJ) up to
-	// multi-second heavyweight mixes; log-linear buckets keep the
-	// relative quantile error flat across that range.
-	missBounds := make([]float64, 101)
-	for i := range missBounds {
-		missBounds[i] = float64(i) / 100
-	}
 	return &aggregator{
-		cfg: cfg,
-		energyH: reg.Histogram("fleet_device_energy_joules",
-			"per-device total energy", obs.LogLinearBuckets(1e-4, 1e4, 30)),
-		missH: reg.Histogram("fleet_device_miss_rate",
-			"per-device deadline miss fraction", missBounds),
-		// Sketches ride alongside the histograms: the histograms keep
-		// the fixed-bucket exposition shape, the t-digests answer the
-		// quantile queries (≤1% rank error with no bucket-boundary
-		// sensitivity — the histogram's weak spot when a distribution
-		// concentrates inside one log-linear bucket).
+		cfg:        cfg,
 		energySk:   obs.NewQuantileSketch(0),
 		missSk:     obs.NewQuantileSketch(0),
 		byPlatform: map[string]*GroupAgg{},
@@ -529,8 +509,6 @@ func (a *aggregator) commit(out *devOut) {
 	a.res.Jobs += d.Jobs
 	a.res.Misses += d.Misses
 	a.res.EnergyJ += d.EnergyJ
-	a.energyH.Observe(d.EnergyJ)
-	a.missH.Observe(d.MissRate())
 	a.energySk.Add(d.EnergyJ)
 	a.missSk.Add(d.MissRate())
 	for _, g := range []*GroupAgg{

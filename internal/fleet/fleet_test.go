@@ -325,3 +325,62 @@ func TestFleetSketchQuantilesMatchExact(t *testing.T) {
 		}
 	}
 }
+
+// countWriter counts the bytes written through it.
+type countWriter int64
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	*c += countWriter(len(p))
+	return len(p), nil
+}
+
+// TestBinaryTraceDensity: on a 2000-device a7/x86 sha:3,rijndael:1
+// fleet (10 jobs each, seed 42) the binary decision trace must stay at
+// least 5x smaller than the same events as JSONL, and within 10% of
+// the 65.28565 B/event it measured when the format landed. Both sizes
+// are deterministic: 1305713 B binary, 11699101 B JSONL.
+func TestBinaryTraceDensity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a 2000-device fleet")
+	}
+	mix, err := ParseMix("sha:3,rijndael:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &obs.MemorySink{}
+	res, err := Run(Config{
+		Devices:   2000,
+		Platforms: []string{"a7", "x86"},
+		Mix:       mix,
+		Jobs:      10,
+		Seed:      42,
+		Sink:      sink,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := sink.Events()
+	var bin, jsonl countWriter
+	if err := trace.WriteBinary(&bin, events); err != nil {
+		t.Fatal(err)
+	}
+	js := obs.NewJSONLSink(&jsonl)
+	for i := range events {
+		js.Emit(&events[i])
+	}
+	if err := js.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res.Events != 20000 || uint64(len(events)) != res.Events {
+		t.Fatalf("fleet emitted %d events (result says %d), want 20000", len(events), res.Events)
+	}
+	perEvent := float64(bin) / float64(len(events))
+	ratio := float64(jsonl) / float64(bin)
+	t.Logf("binary %d B (%.5f B/event), JSONL %d B, %.2fx", bin, perEvent, jsonl, ratio)
+	if ratio < 5 {
+		t.Errorf("binary trace only %.2fx smaller than JSONL, want >= 5x", ratio)
+	}
+	if perEvent > 1.1*65.28565 {
+		t.Errorf("binary trace %.3f B/event, want <= 1.1 x 65.28565", perEvent)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/fleet"
@@ -19,10 +18,12 @@ import (
 // to the energy accounting that moves any printed digit fails here.
 // Regenerate only for an intended change of the reports.
 const (
-	goldenSingleText = "2865662755def07efc9022dfa586c16de6de12eed18c0d0bcbbbee9d2d8f50cc"
-	goldenSingleJSON = "cf3c0be3437ba093e2bba9a614466eabedc715b828ddc1e01491cbfc64e986bf"
-	goldenFleetText  = "42c82cdb9a57e380b5371fe5a49a3644bdb62724a494ab1620f3719c54cb01bd"
-	goldenFleetJSON  = "af49753fca2efdfd414cb1a250fd075e5b8ba3c4bf12e6d44ea1b02d34e6c8ca"
+	goldenSingleText  = "2865662755def07efc9022dfa586c16de6de12eed18c0d0bcbbbee9d2d8f50cc"
+	goldenSingleJSON  = "cf3c0be3437ba093e2bba9a614466eabedc715b828ddc1e01491cbfc64e986bf"
+	goldenLdecodeText = "ae2fd851be1825737372c23402655e8f4b37845696d029e7702e878734caba6d"
+	goldenLdecodeJSON = "81b613df0a135b666793e480295828c214f0b74d991814e668e0706ffedecb84"
+	goldenFleetText   = "42c82cdb9a57e380b5371fe5a49a3644bdb62724a494ab1620f3719c54cb01bd"
+	goldenFleetJSON   = "af49753fca2efdfd414cb1a250fd075e5b8ba3c4bf12e6d44ea1b02d34e6c8ca"
 )
 
 func digest(b []byte) string {
@@ -33,9 +34,10 @@ func digest(b []byte) string {
 // TestReplayReportGolden pins the single-device report (text, and the
 // `-format json` document) over a multi-group sim trace — sha under
 // the prediction, PID and performance governors, ldecode and
-// pocketsphinx under prediction — and the fleet report
-// (text and JSON) over a binary fleet trace. Span ledgers are stripped
-// from the sim trace because they carry host wall time.
+// pocketsphinx under prediction — the same two reports over a
+// 200-job ldecode prediction trace, and the fleet report (text and
+// JSON) over a binary fleet trace. Span ledgers are stripped from the
+// sim traces because they carry host wall time.
 func TestReplayReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds controllers and simulates a fleet")
@@ -49,22 +51,48 @@ func TestReplayReportGolden(t *testing.T) {
 			_, evs := tracedRunOn(t, run.workload, run.governor, 120)
 			events = append(events, evs...)
 		}
-		for i := range events {
-			events[i].Spans = nil
+		res := replaySingle(t, events)
+		text, js := singleReports(t, res)
+		checkGolden(t, "text", text, goldenSingleText)
+		checkGolden(t, "json", js, goldenSingleJSON)
+	})
+	// The headline trade-off on one workload: 200 ldecode jobs under
+	// the prediction controller, every counterfactual's energy and
+	// misses pinned exactly (the paper's Fig 15 normalization rests on
+	// these joules).
+	t.Run("ldecode", func(t *testing.T) {
+		_, events := tracedRunOn(t, "ldecode", "prediction", 200)
+		res := replaySingle(t, events)
+		g := res.Group("ldecode", "prediction")
+		if g == nil {
+			t.Fatalf("no ldecode/prediction group in %+v", res.Groups)
 		}
-		res, err := replay.Run(events, replay.Options{Plat: platform.ODROIDXU3A7(), Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+		if g.Traced.EnergyJ != 3.692067610419657 || g.Traced.Misses != 0 {
+			t.Errorf("traced %v J, %d misses; want 3.692067610419657 J, 0 misses", g.Traced.EnergyJ, g.Traced.Misses)
 		}
-		var text, js bytes.Buffer
-		res.WriteText(&text)
-		enc := json.NewEncoder(&js)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			t.Fatal(err)
+		for _, want := range []struct {
+			name    string
+			energyJ float64
+			misses  int
+		}{
+			{"performance", 6.390354511105618, 0},
+			{"powersave", 2.296846847715954, 200},
+			{"oracle", 3.0588936477484223, 0},
+			{"pid", 3.5967740384597615, 31},
+			{"prediction", 3.690279637561806, 0},
+		} {
+			p := g.Policy(want.name)
+			if p == nil {
+				t.Errorf("no %s policy", want.name)
+				continue
+			}
+			if p.EnergyJ != want.energyJ || p.Misses != want.misses {
+				t.Errorf("%s %v J, %d misses; want %v J, %d misses", want.name, p.EnergyJ, p.Misses, want.energyJ, want.misses)
+			}
 		}
-		checkGolden(t, "text", text.Bytes(), goldenSingleText)
-		checkGolden(t, "json", js.Bytes(), goldenSingleJSON)
+		text, js := singleReports(t, res)
+		checkGolden(t, "text", text, goldenLdecodeText)
+		checkGolden(t, "json", js, goldenLdecodeJSON)
 	})
 	t.Run("fleet", func(t *testing.T) {
 		mix, err := fleet.ParseMix("sha:3,rijndael:1")
@@ -102,6 +130,32 @@ func TestReplayReportGolden(t *testing.T) {
 		checkGolden(t, "text", text.Bytes(), goldenFleetText)
 		checkGolden(t, "json", js.Bytes(), goldenFleetJSON)
 	})
+}
+
+// replaySingle replays a sim trace single-device at seed 1, with span
+// ledgers stripped because they carry host wall time.
+func replaySingle(t *testing.T, events []obs.DecisionEvent) *replay.Result {
+	t.Helper()
+	for i := range events {
+		events[i].Spans = nil
+	}
+	res, err := replay.Run(events, replay.Options{Plat: platform.ODROIDXU3A7(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// singleReports renders dvfsreplay's text report and its
+// `-format json` document.
+func singleReports(t *testing.T, res *replay.Result) (text, js []byte) {
+	t.Helper()
+	var tb, jb bytes.Buffer
+	res.WriteText(&tb)
+	if err := res.WriteJSON(&jb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Bytes(), jb.Bytes()
 }
 
 func checkGolden(t *testing.T, what string, out []byte, want string) {

@@ -224,50 +224,6 @@ func TestReplayDeterministic(t *testing.T) {
 	}
 }
 
-func TestReplayBenchRoundTripAndCompare(t *testing.T) {
-	_, events := tracedRun(t, "prediction", 60)
-	res, err := replay.Run(events, replay.Options{Plat: platform.ODROIDXU3A7()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	base, err := replay.ReadBench(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Self-comparison: no regressions, no notes.
-	regs, notes := replay.Compare(res, base, replay.CompareOptions{})
-	if len(regs) != 0 || len(notes) != 0 {
-		t.Fatalf("self compare: regs=%v notes=%v", regs, notes)
-	}
-	// Inflate current energy past tolerance → regression.
-	worse := *res
-	worse.Groups = append([]replay.GroupResult(nil), res.Groups...)
-	worse.Groups[0].Traced.EnergyJ *= 1.10
-	regs, _ = replay.Compare(&worse, base, replay.CompareOptions{MaxEnergyRegressPct: 5})
-	if len(regs) == 0 {
-		t.Error("10% energy regression not detected at 5% tolerance")
-	}
-	// A miss-rate jump is a regression too.
-	worse2 := *res
-	worse2.Groups = append([]replay.GroupResult(nil), res.Groups...)
-	worse2.Groups[0].Traced.MissRate += 0.05
-	regs, _ = replay.Compare(&worse2, base, replay.CompareOptions{MaxMissRegressPts: 1})
-	if len(regs) == 0 {
-		t.Error("5-point miss-rate regression not detected at 1-point tolerance")
-	}
-	// A group only in the baseline is a note, not a regression.
-	fewer := *res
-	fewer.Groups = nil
-	regs, notes = replay.Compare(&fewer, base, replay.CompareOptions{})
-	if len(regs) != 0 || len(notes) == 0 {
-		t.Errorf("missing group: regs=%v notes=%v", regs, notes)
-	}
-}
-
 func TestReplayRejectsWrongPlatform(t *testing.T) {
 	_, events := tracedRun(t, "performance", 20)
 	if _, err := replay.Run(events, replay.Options{Plat: platform.IntelI7()}); err == nil {

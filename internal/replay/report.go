@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/obs"
@@ -78,115 +77,12 @@ func occupancyLine(g *GroupResult) string {
 	return strings.Join(parts, " ")
 }
 
-// Bench is the machine-readable BENCH_replay.json shape: the full
-// result plus a schema version so future fields stay additive.
-type Bench struct {
-	Schema int     `json:"schema"`
-	Replay *Result `json:"replay"`
-}
-
-// WriteJSON writes the bench document with stable indentation.
+// WriteJSON writes the result as the indented JSON document
+// dvfsreplay -format json prints.
 func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(Bench{Schema: 1, Replay: r})
-}
-
-// ReadBench parses a bench document (current or bare-Result legacy).
-func ReadBench(rd io.Reader) (*Result, error) {
-	var b Bench
-	if err := json.NewDecoder(rd).Decode(&b); err != nil {
-		return nil, fmt.Errorf("replay: parsing baseline: %w", err)
-	}
-	if b.Replay == nil {
-		return nil, fmt.Errorf("replay: baseline has no replay payload")
-	}
-	return b.Replay, nil
-}
-
-// CompareOptions bounds acceptable drift from a committed baseline.
-type CompareOptions struct {
-	// MaxEnergyRegressPct fails the comparison when a group/policy
-	// energy grows by more than this percentage; zero → 5.
-	MaxEnergyRegressPct float64
-	// MaxMissRegressPts fails when a miss rate grows by more than
-	// this many percentage points; zero → 1.
-	MaxMissRegressPts float64
-}
-
-func (o CompareOptions) withDefaults() CompareOptions {
-	if o.MaxEnergyRegressPct <= 0 {
-		o.MaxEnergyRegressPct = 5
-	}
-	if o.MaxMissRegressPts <= 0 {
-		o.MaxMissRegressPts = 1
-	}
-	return o
-}
-
-// Compare checks cur against a committed baseline and returns one
-// line per regression (empty = pass). Groups or policies present only
-// on one side are reported as informational drift, not regressions —
-// adding a workload to the smoke run must not fail CI.
-func Compare(cur, base *Result, opts CompareOptions) (regressions, notes []string) {
-	opts = opts.withDefaults()
-	key := func(g *GroupResult) string { return g.Workload + " / " + g.Governor }
-	baseGroups := map[string]*GroupResult{}
-	for i := range base.Groups {
-		baseGroups[key(&base.Groups[i])] = &base.Groups[i]
-	}
-	seen := map[string]bool{}
-	for i := range cur.Groups {
-		g := &cur.Groups[i]
-		k := key(g)
-		seen[k] = true
-		bg := baseGroups[k]
-		if bg == nil {
-			notes = append(notes, fmt.Sprintf("%s: new group (not in baseline)", k))
-			continue
-		}
-		regressions = append(regressions, compareOutcome(k+" traced", &g.Traced, &bg.Traced, opts)...)
-		basePol := map[string]*PolicyResult{}
-		for j := range bg.Policies {
-			basePol[bg.Policies[j].Name] = &bg.Policies[j]
-		}
-		for j := range g.Policies {
-			p := &g.Policies[j]
-			bp := basePol[p.Name]
-			if bp == nil {
-				notes = append(notes, fmt.Sprintf("%s %s: new policy (not in baseline)", k, p.Name))
-				continue
-			}
-			regressions = append(regressions, compareOutcome(k+" "+p.Name, &p.Outcome, &bp.Outcome, opts)...)
-		}
-	}
-	var missing []string
-	for k := range baseGroups {
-		if !seen[k] {
-			missing = append(missing, k)
-		}
-	}
-	sort.Strings(missing)
-	for _, k := range missing {
-		notes = append(notes, fmt.Sprintf("%s: present in baseline but not in this run", k))
-	}
-	return regressions, notes
-}
-
-func compareOutcome(label string, cur, base *Outcome, opts CompareOptions) []string {
-	var out []string
-	if base.EnergyJ > 0 {
-		pct := 100 * (cur.EnergyJ - base.EnergyJ) / base.EnergyJ
-		if pct > opts.MaxEnergyRegressPct {
-			out = append(out, fmt.Sprintf("%s: energy %.3f J vs baseline %.3f J (+%.2f%% > %.2f%% allowed)",
-				label, cur.EnergyJ, base.EnergyJ, pct, opts.MaxEnergyRegressPct))
-		}
-	}
-	if d := 100 * (cur.MissRate - base.MissRate); d > opts.MaxMissRegressPts {
-		out = append(out, fmt.Sprintf("%s: miss rate %.2f%% vs baseline %.2f%% (+%.2f pts > %.2f allowed)",
-			label, 100*cur.MissRate, 100*base.MissRate, d, opts.MaxMissRegressPts))
-	}
-	return out
+	return enc.Encode(r)
 }
 
 // CheckOrdering asserts the physical sanity every healthy prediction

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -327,5 +328,40 @@ func TestFloorDiv(t *testing.T) {
 		if got := floorDiv(c.a, c.b); got != c.want {
 			t.Fatalf("floorDiv(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestRangeQueryLatency: the dashboard's widest raw read, one hour at
+// 1 s resolution (3600 points), must answer in under 10 ms at the
+// median of 51 queries. Wall-clock, so skipped under the race
+// detector; `make alloc-gate` runs it without.
+func TestRangeQueryLatency(t *testing.T) {
+	if raceEnabled {
+		t.Skip("latency is not meaningful under the race detector")
+	}
+	s := memStore(t, Options{Retention: -1})
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixMilli()
+	sr := s.Series("bench_query")
+	for i := 0; i < 3600; i++ {
+		sr.Append(base+int64(i)*1000, 50+10*math.Sin(float64(i)/60)+float64(i%5))
+	}
+	q := Query{Metric: "bench_query", FromMs: base, ToMs: base + 3599*1000}
+	lat := make([]time.Duration, 51)
+	for i := range lat {
+		t0 := time.Now()
+		out, err := s.Query(q)
+		lat[i] = time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != 1 || len(out[0].Points) != 3600 {
+			t.Fatalf("query returned %d series (want 1 with 3600 points)", len(out))
+		}
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	median := lat[len(lat)/2]
+	t.Logf("1h/1s query median %v", median)
+	if median >= 10*time.Millisecond {
+		t.Errorf("1h/1s query median %v, want < 10ms", median)
 	}
 }
