@@ -20,13 +20,14 @@ vet:
 
 # Zero-alloc and latency gates that must run without -race: the
 # runtime half of the hotpathalloc guarantee (AllocsPerRun == 0 on the
-# core decision path, span capture, the feature hash, the binary trace
+# core decision path, prediction-slice evaluation, span capture, the feature hash, the binary trace
 # encoder, tsdb append, and the energy ledger and meter) plus the tsdb
 # 1h/1s range-query latency bound. The detector's instrumentation
 # allocates and slows everything, so these tests skip themselves
 # under it.
 alloc-gate:
 	go test -count=1 -run 'TestPredictTraceZeroAlloc' ./internal/core
+	go test -count=1 -run 'TestSliceRunAllocs' ./internal/slicer
 	go test -count=1 -run 'TestSpanCaptureZeroAlloc|TestFeatureHashZeroAlloc|TestSketchAddZeroAlloc|TestHeavyHittersZeroAlloc' ./internal/obs
 	go test -count=1 -run 'TestBinaryEncodeZeroAlloc' ./internal/trace
 	go test -count=1 -run 'TestAppendZeroAlloc|TestEncoderZeroAlloc|TestRangeQueryLatency' ./internal/tsdb

@@ -266,12 +266,11 @@ func foldVal(e taskir.Expr, st cpState) cpVal {
 		lc, lok := constOf(l)
 		rc, rok := constOf(r)
 		if lok && rok {
-			// Delegate to the interpreter's own operator semantics: a
-			// constant-only tree never touches the environment, so Eval
-			// with a nil env is exact by construction.
-			return cpVal{v: (&taskir.Bin{Op: x.Op, L: taskir.Const(lc), R: taskir.Const(rc)}).Eval(nil)}
+			// Delegate to the engine's own operator semantics: Op.Apply
+			// is the function the compiled program evaluates with.
+			return cpVal{v: x.Op.Apply(lc, rc)}
 		}
-		// Absorbing elements fold even with one unknown side (Eval has
+		// Absorbing elements fold even with one unknown side (Apply has
 		// no short-circuit or side effects, so this is sound).
 		switch x.Op {
 		case taskir.OpMul:

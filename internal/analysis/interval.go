@@ -38,7 +38,7 @@ func bool01() Interval { return Interval{0, 1} }
 
 // EvalInterval bounds e given variable ranges. Missing variables are
 // unbounded — callers that know better (e.g. observed param ranges)
-// supply env entries. The arithmetic mirrors Bin.Eval's guarded
+// supply env entries. The arithmetic mirrors Op.Apply's guarded
 // semantics (division and modulo by zero yield 0).
 func EvalInterval(e taskir.Expr, env map[string]Interval) Interval {
 	switch x := e.(type) {

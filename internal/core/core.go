@@ -190,15 +190,14 @@ func Build(w *workload.Workload, cfg Config) (*Controller, error) {
 	rng := rand.New(rand.NewSource(cfg.ProfileSeed + 13))
 	gen := w.NewGen(cfg.ProfileSeed)
 	globals := w.FreshGlobals()
+	code := taskir.Compile(ip.Prog)
 	traces := make([]*features.Trace, 0, cfg.ProfileJobs)
 	works := make([]taskir.Work, 0, cfg.ProfileJobs)
 	paramSets := make([]map[string]int64, 0, cfg.ProfileJobs)
 	for i := 0; i < cfg.ProfileJobs; i++ {
 		tr := features.NewTrace()
-		env := taskir.NewEnv(globals)
 		params := gen.Next(i)
-		env.SetParams(params)
-		wk, err := taskir.Run(ip.Prog, env, taskir.RunOptions{Recorder: tr})
+		wk, err := code.Run(globals, params, taskir.RunOptions{Recorder: tr})
 		if err != nil {
 			return nil, fmt.Errorf("core: profiling %s job %d: %w", w.Name, i, err)
 		}

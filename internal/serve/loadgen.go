@@ -76,13 +76,12 @@ func GenerateJobs(name string, jobs int, seed int64) ([]PredictJob, error) {
 	ip := instrument.Instrument(w.Prog)
 	gen := w.NewGen(seed)
 	globals := w.FreshGlobals()
+	code := taskir.Compile(ip.Prog)
 	out := make([]PredictJob, 0, jobs)
 	for i := 0; i < jobs; i++ {
 		tr := features.NewTrace()
-		env := taskir.NewEnv(globals)
 		params := gen.Next(i)
-		env.SetParams(params)
-		if _, err := taskir.Run(ip.Prog, env, taskir.RunOptions{Recorder: tr}); err != nil {
+		if _, err := code.Run(globals, params, taskir.RunOptions{Recorder: tr}); err != nil {
 			return nil, fmt.Errorf("serve: generating %s job %d: %w", name, i, err)
 		}
 		out = append(out, PredictJob{Features: tr.Wire(), Params: params})

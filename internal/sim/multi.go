@@ -117,6 +117,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 	out := &MultiResult{PerTask: make([]*Result, len(tasks))}
 	gens := make([]workload.InputGen, len(tasks))
 	globals := make([]map[string]int64, len(tasks))
+	codes := make([]*taskir.Compiled, len(tasks))
 	for i, t := range tasks {
 		out.PerTask[i] = &Result{
 			Workload:  t.W.Name,
@@ -125,6 +126,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 		}
 		gens[i] = t.W.NewGen(cfg.Seed + 1 + int64(i))
 		globals[i] = t.W.FreshGlobals()
+		codes[i] = taskir.Compile(t.W.Prog)
 	}
 
 	for _, mj := range sched {
@@ -135,7 +137,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 		start := st.now
 		deadline := mj.release + t.BudgetSec
 		params := gens[mj.task].Next(mj.index)
-		g := globals[mj.task]
+		g, code := globals[mj.task], codes[mj.task]
 
 		job := &governor.Job{
 			Index:              mj.index,
@@ -145,10 +147,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 			DeadlineSec:        deadline,
 			RemainingBudgetSec: deadline - start,
 			PeekWork: func() taskir.Work {
-				env := taskir.NewEnv(g)
-				env.Freeze()
-				env.SetParams(params)
-				pw, err := taskir.Run(t.W.Prog, env, taskir.RunOptions{})
+				pw, err := code.RunFrozen(g, params, taskir.RunOptions{})
 				if err != nil {
 					return taskir.Work{}
 				}
@@ -169,9 +168,7 @@ func RunMulti(tasks []TaskSpec, cfg Config) (*MultiResult, error) {
 			st.doSwitch(dec.Target)
 		}
 
-		env := taskir.NewEnv(g)
-		env.SetParams(params)
-		wk, err := taskir.Run(t.W.Prog, env, taskir.RunOptions{})
+		wk, err := code.Run(g, params, taskir.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s job %d: %w", t.W.Name, mj.index, err)
 		}

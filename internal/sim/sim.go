@@ -370,6 +370,7 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := w.NewGen(cfg.Seed + 1)
 	globals := w.FreshGlobals()
+	code := taskir.Compile(w.Prog)
 
 	st := &simState{
 		cfg:      cfg,
@@ -389,7 +390,9 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 	}
 
 	// paramsFor memoizes inputs so pipelined prediction can look one
-	// job ahead without double-advancing the generator.
+	// job ahead without double-advancing the generator. Job i's entry
+	// is dropped once job i has executed, so the cache holds at most
+	// jobs i and i+1.
 	paramsCache := map[int]map[string]int64{}
 	paramsFor := func(i int) map[string]int64 {
 		if p, ok := paramsCache[i]; ok {
@@ -411,10 +414,7 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 			DeadlineSec:        deadline,
 			RemainingBudgetSec: deadline - startSec,
 			PeekWork: func() taskir.Work {
-				env := taskir.NewEnv(globals)
-				env.Freeze()
-				env.SetParams(params)
-				pw, err := taskir.Run(w.Prog, env, taskir.RunOptions{})
+				pw, err := code.RunFrozen(globals, params, taskir.RunOptions{})
 				if err != nil {
 					return taskir.Work{}
 				}
@@ -456,12 +456,11 @@ func Run(w *workload.Workload, gov governor.Governor, cfg Config) (*Result, erro
 		prepared, preparedFor = nil, -1
 
 		// Execute the job for real (this advances the program state).
-		env := taskir.NewEnv(globals)
-		env.SetParams(params)
-		wk, err := taskir.Run(w.Prog, env, taskir.RunOptions{})
+		wk, err := code.Run(globals, params, taskir.RunOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s job %d: %w", w.Name, i, err)
 		}
+		delete(paramsCache, i)
 		noise := 1.0
 		if cfg.NoiseSigma > 0 {
 			n := cfg.NoiseSigma * rng.NormFloat64()

@@ -14,9 +14,9 @@
 // heuristic DVFS decision.
 //
 // Side-effect isolation: the slice may retain assignments to global
-// (persistent) state. Running the slice through Run uses a frozen
-// environment so those writes land in local copies, matching the
-// paper's "local copies of any global variables" rule.
+// (persistent) state. Run executes the slice frozen, so those writes
+// land in the run's own frame, matching the paper's "local copies of
+// any global variables" rule.
 package slicer
 
 import (
@@ -27,7 +27,8 @@ import (
 // Slice is an executable prediction slice.
 type Slice struct {
 	// Prog computes the selected features; it contains no Compute
-	// statements.
+	// statements. Run executes the form compiled by Extract, so
+	// changing Prog afterwards does not change what Run computes.
 	Prog *taskir.Program
 	// NeededFIDs is the set of feature sites the slice computes.
 	NeededFIDs map[int]bool
@@ -38,6 +39,8 @@ type Slice struct {
 	// Stats records how the extraction behaved, for diagnostics and
 	// for tests that bound the fixpoint.
 	Stats Stats
+
+	code *taskir.Compiled
 }
 
 // Stats are per-extraction statistics. The fixpoint iterates while the
@@ -84,6 +87,7 @@ func Extract(ip *instrument.Program, need map[int]bool) *Slice {
 		NeededFIDs: need,
 		FullStmts:  ip.Prog.StmtCount(),
 		Stats:      Stats{FixpointIters: iters, VarsKept: len(sl.vars)},
+		code:       taskir.Compile(prog),
 	}
 	out.SliceStmts = prog.StmtCount()
 	return out
@@ -190,13 +194,11 @@ func (sl *slicerPass) stmt(s taskir.Stmt) taskir.Stmt {
 }
 
 // Run executes the slice for one job without side effects: globals are
-// read from the live program state but all writes are isolated to
-// local copies (frozen environment). It returns the computed feature
-// trace recorded into rec and the interpreter work of the slice, which
-// the simulator converts into predictor execution time.
+// read from the live program state but all writes are isolated to the
+// run (a frozen run), so concurrent calls may share globals. It returns
+// the computed feature trace recorded into rec and the interpreter
+// work of the slice, which the simulator converts into predictor
+// execution time.
 func (s *Slice) Run(globals map[string]int64, params map[string]int64, rec taskir.FeatureRecorder) (taskir.Work, error) {
-	env := taskir.NewEnv(globals)
-	env.Freeze()
-	env.SetParams(params)
-	return taskir.Run(s.Prog, env, taskir.RunOptions{Recorder: rec})
+	return s.code.RunFrozen(globals, params, taskir.RunOptions{Recorder: rec})
 }

@@ -8,12 +8,13 @@ import (
 // Env is a job execution environment: the variable store visible to a
 // program body. It layers per-job locals (params and temporaries) over
 // persistent globals, so that global writes survive across jobs while
-// locals are discarded.
+// locals are discarded. A name is global when the globals map holds it.
+//
+// Run loads an Env into a compiled frame and stores the frame back when
+// the job ends; Get and Set give the same semantics one name at a time.
 type Env struct {
 	globals map[string]int64
 	locals  map[string]int64
-	// isGlobal marks which names resolve to the global layer.
-	isGlobal map[string]bool
 	// frozen, when set, redirects global writes into the local layer
 	// (copy-on-write). This implements the paper's side-effect
 	// isolation for prediction slices (§3.2): the slice takes local
@@ -31,15 +32,7 @@ type Env struct {
 // persistent state. The caller owns globals; Env mutates it in place
 // on global writes (unless frozen).
 func NewEnv(globals map[string]int64) *Env {
-	isG := make(map[string]bool, len(globals))
-	for k := range globals {
-		isG[k] = true
-	}
-	return &Env{
-		globals:  globals,
-		locals:   map[string]int64{},
-		isGlobal: isG,
-	}
+	return &Env{globals: globals, locals: map[string]int64{}}
 }
 
 // Freeze makes all subsequent global writes copy-on-write: they land
@@ -102,7 +95,7 @@ func (e *Env) UndefinedReads() []string {
 // Set assigns name. Global names write through to the global layer
 // unless the environment is frozen; all other names are job-locals.
 func (e *Env) Set(name string, v int64) {
-	if e.isGlobal[name] && !e.frozen {
+	if _, ok := e.globals[name]; ok && !e.frozen {
 		e.globals[name] = v
 		return
 	}
@@ -139,7 +132,7 @@ func (e *Env) String() string {
 		keys = append(keys, k)
 	}
 	for k := range e.locals {
-		if !e.isGlobal[k] {
+		if _, ok := e.globals[k]; !ok {
 			keys = append(keys, k)
 		}
 	}

@@ -2,12 +2,13 @@ package taskir
 
 import "fmt"
 
-// Expr is an integer expression over the job environment.
+// Expr is an integer expression over the job environment. Programs
+// are executed by compiling them (see Compile); expressions themselves
+// only describe the computation.
 type Expr interface {
-	// Eval computes the expression's value in env.
-	Eval(env *Env) int64
 	// String renders the expression for debugging.
 	String() string
+	expr()
 }
 
 // Const is an integer literal.
@@ -56,16 +57,20 @@ type Not struct {
 	X Expr
 }
 
-func (c Const) Eval(*Env) int64 { return int64(c) }
-func (c Const) String() string  { return fmt.Sprintf("%d", int64(c)) }
+func (Const) expr() {}
+func (Var) expr()   {}
+func (*Bin) expr()  {}
+func (*Not) expr()  {}
 
-func (v Var) Eval(env *Env) int64 { return env.Get(string(v)) }
-func (v Var) String() string      { return string(v) }
+func (c Const) String() string { return fmt.Sprintf("%d", int64(c)) }
+func (v Var) String() string   { return string(v) }
 
-func (b *Bin) Eval(env *Env) int64 {
-	l := b.L.Eval(env)
-	r := b.R.Eval(env)
-	switch b.Op {
+// Apply computes l op r. It is the one definition of the IR's
+// arithmetic: the compiled engine evaluates every Bin through it and
+// internal/analysis folds constants through it, so the two cannot
+// disagree.
+func (op Op) Apply(l, r int64) int64 {
+	switch op {
 	case OpAdd:
 		return l + r
 	case OpSub:
@@ -109,7 +114,7 @@ func (b *Bin) Eval(env *Env) int64 {
 	case OpOr:
 		return b2i(l != 0 || r != 0)
 	}
-	panic(fmt.Sprintf("taskir: unknown op %d", b.Op))
+	panic(fmt.Sprintf("taskir: unknown op %d", op))
 }
 
 func (b *Bin) String() string {
@@ -119,8 +124,7 @@ func (b *Bin) String() string {
 	return fmt.Sprintf("(%s %s %s)", b.L, opNames[b.Op], b.R)
 }
 
-func (n *Not) Eval(env *Env) int64 { return b2i(n.X.Eval(env) == 0) }
-func (n *Not) String() string      { return fmt.Sprintf("!(%s)", n.X) }
+func (n *Not) String() string { return fmt.Sprintf("!(%s)", n.X) }
 
 func b2i(b bool) int64 {
 	if b {

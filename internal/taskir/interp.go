@@ -1,9 +1,6 @@
 package taskir
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Work is the abstract cost of executing a job: CPU work units that
 // scale with clock frequency, plus memory-bound time that does not.
@@ -77,106 +74,9 @@ type RunOptions struct {
 const defaultMaxSteps = 50_000_000
 
 // Run executes one job of the program body in env and returns the work
-// performed. Control flow, feature recording and cost accounting all
-// happen here; time and energy are the simulator's concern.
+// performed. It compiles p on every call, so it suits one-off runs;
+// callers that run a program per job compile it once and use
+// Compiled.Run or Compiled.RunFrozen.
 func Run(p *Program, env *Env, opts RunOptions) (Work, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = defaultMaxSteps
-	}
-	in := &interp{env: env, rec: opts.Recorder, remaining: maxSteps}
-	if err := in.block(p.Body); err != nil {
-		return in.work, err
-	}
-	return in.work, nil
-}
-
-type interp struct {
-	env       *Env
-	rec       FeatureRecorder
-	work      Work
-	remaining int64
-}
-
-func (in *interp) step() error {
-	in.work.Stmts++
-	in.work.CPU += StmtCostCPU
-	in.remaining--
-	if in.remaining < 0 {
-		return ErrStepLimit
-	}
-	return nil
-}
-
-func (in *interp) block(stmts []Stmt) error {
-	for _, s := range stmts {
-		if err := in.stmt(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (in *interp) stmt(s Stmt) error {
-	if err := in.step(); err != nil {
-		return err
-	}
-	switch st := s.(type) {
-	case *Assign:
-		in.env.Set(st.Dst, st.Expr.Eval(in.env))
-	case *Compute:
-		in.work.CPU += st.Work
-		in.work.MemSec += st.MemNS * 1e-9
-	case *ComputeScaled:
-		if n := st.Units.Eval(in.env); n > 0 {
-			in.work.CPU += st.WorkPer * float64(n)
-			in.work.MemSec += st.MemNSPer * float64(n) * 1e-9
-		}
-	case *If:
-		if st.Cond.Eval(in.env) != 0 {
-			return in.block(st.Then)
-		}
-		return in.block(st.Else)
-	case *While:
-		maxIter := st.MaxIter
-		if maxIter == 0 {
-			maxIter = 100_000
-		}
-		for i := int64(0); st.Cond.Eval(in.env) != 0; i++ {
-			if i >= maxIter {
-				return fmt.Errorf("taskir: while#%d exceeded %d iterations", st.ID, maxIter)
-			}
-			in.work.CPU += LoopIterCostCPU
-			if err := in.block(st.Body); err != nil {
-				return err
-			}
-		}
-	case *Loop:
-		n := st.Count.Eval(in.env)
-		for i := int64(0); i < n; i++ {
-			in.work.CPU += LoopIterCostCPU
-			if st.IndexVar != "" {
-				in.env.Set(st.IndexVar, i)
-			}
-			if err := in.block(st.Body); err != nil {
-				return err
-			}
-		}
-	case *Call:
-		addr := st.Target.Eval(in.env)
-		if body, ok := st.Funcs[addr]; ok {
-			return in.block(body)
-		}
-	case *FeatAdd:
-		if in.rec != nil {
-			in.rec.AddFeature(st.FID, st.Amount.Eval(in.env))
-		}
-	case *FeatCall:
-		if in.rec != nil {
-			in.rec.RecordCall(st.FID, st.Target.Eval(in.env))
-		}
-	default:
-		return fmt.Errorf("taskir: cannot interpret statement type %T", s)
-	}
-	return nil
+	return Compile(p).runEnv(env, opts)
 }

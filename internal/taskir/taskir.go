@@ -1,5 +1,5 @@
 // Package taskir defines a small imperative intermediate representation
-// for interactive tasks, together with an interpreter that executes a
+// for interactive tasks, together with the engine that executes a
 // task's job and accounts for the abstract work it performs.
 //
 // The paper's framework operates on C source: it instruments control
@@ -14,6 +14,8 @@
 // The IR is deliberately analyzable: expressions reference variables
 // by name, so the slicer in internal/slicer can perform the same
 // name-based (alias-free) dependence analysis the paper's tool uses.
+// Execution does not: Compile resolves each name to an integer slot
+// once, and a run works on a frame of slots.
 package taskir
 
 import (
@@ -60,7 +62,7 @@ func (p *Program) Clone() *Program {
 // Stmt is a statement in the task IR.
 type Stmt interface {
 	// stmt is a marker; statements are handled by type switch in the
-	// interpreter, instrumenter and slicer.
+	// compiler, instrumenter and slicer.
 	stmt()
 	// String renders a compact single-line form, used in tests and
 	// debug dumps.

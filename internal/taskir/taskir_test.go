@@ -63,7 +63,11 @@ func TestExprEval(t *testing.T) {
 		{&Not{Const(7)}, 0},
 	}
 	for _, c := range cases {
-		if got := c.expr.Eval(env); got != c.want {
+		p := &Program{Body: []Stmt{&Assign{Dst: "out", Expr: c.expr}}}
+		if _, err := Run(p, env, RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if got := env.Get("out"); got != c.want {
 			t.Errorf("%s = %d, want %d", c.expr, got, c.want)
 		}
 	}
