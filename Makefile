@@ -255,10 +255,10 @@ tsdb-smoke:
 
 # Alerting smoke: boot dvfsd with a fast scrape, an energy budget, and
 # a crash-safe incident journal; ingest fleet events with inflated
-# residuals until the built-in model_stale rule fires, check the
-# /v1/alerts snapshot, the /debug/alerts incident timeline, the
+# residuals and missed deadlines until the built-in model_stale and
+# slo_burn (fleet key) rules both fire, check the /v1/alerts snapshot, the /debug/alerts incident timeline, the
 # firing-span overlay on the dashboard history charts, and the
-# alert/energy Prometheus metrics; then ingest healthy events until
+# alert/energy/measurement Prometheus metrics; then ingest healthy events until
 # the alert resolves and the incident closes; finally assert the
 # journal recorded both transitions.
 ALERT_ADDR ?= 127.0.0.1:8097
@@ -270,7 +270,7 @@ alert-smoke:
 	        'level': 2, 'from_level': 2, 'predicted_exec_sec': 0.04, \
 	        'predictor_sec': 0.001, 'done': True}; \
 	bad = [dict(base, seq=i + 1, job=i, time_sec=round(0.1 * i, 3), \
-	            actual_exec_sec=0.05, residual_sec=0.01) for i in range(120)]; \
+	            actual_exec_sec=0.05, residual_sec=0.01, missed=True) for i in range(120)]; \
 	good = [dict(base, seq=121 + i, job=120 + i, time_sec=round(12.0 + 0.1 * i, 3), \
 	             actual_exec_sec=0.04, residual_sec=-0.001) for i in range(420)]; \
 	open('/tmp/alert-bad.jsonl', 'w').write(''.join(json.dumps(e) + chr(10) for e in bad)); \
@@ -285,21 +285,29 @@ alert-smoke:
 	curl -fsS --data-binary @/tmp/alert-bad.jsonl http://$(ALERT_ADDR)/v1/fleet/ingest > /dev/null \
 		|| { echo "alert-smoke: bad-residual ingest failed"; exit 1; }; \
 	for i in $$(seq 1 100); do \
-		curl -fsS http://$(ALERT_ADDR)/v1/alerts | grep -q '"state":"firing"' && break; sleep 0.1; \
+		curl -fsS http://$(ALERT_ADDR)/v1/alerts | python3 -c "import json, sys; \
+	s = json.load(sys.stdin); \
+	firing = {a['rule'] for a in s['active'] if a['state'] == 'firing'}; \
+	sys.exit(0 if {'model_stale', 'slo_burn'} <= firing else 1)" && break; sleep 0.1; \
 	done; \
-	curl -fsS http://$(ALERT_ADDR)/v1/alerts | python3 -c "import json, sys; \
+	curl -fsS http://$(ALERT_ADDR)/v1/alerts | python3 -c "import json, re, sys; \
 	s = json.load(sys.stdin); \
 	assert any(a['rule'] == 'model_stale' and a['state'] == 'firing' for a in s['active']), s['active']; \
+	assert any(a['rule'] == 'slo_burn' and a['state'] == 'firing' and re.search('[{,]workload=fleet[,}]', a['series']) for a in s['active']), s['active']; \
 	assert any(i['rule'] == 'model_stale' and not i.get('end_ms') for i in s['incidents']), s['incidents']; \
 	assert any(r['name'] == 'energy_budget_burn' for r in s['rules']), s['rules']" \
-		|| { echo "alert-smoke: model_stale did not fire"; exit 1; }; \
+		|| { echo "alert-smoke: model_stale and fleet slo_burn did not both fire"; exit 1; }; \
 	curl -fsS http://$(ALERT_ADDR)/debug/alerts > /tmp/alert-dash.html; \
 	grep -q 'model_stale' /tmp/alert-dash.html && grep -q 'Incidents' /tmp/alert-dash.html \
 		|| { echo "alert-smoke: /debug/alerts missing the incident timeline"; exit 1; }; \
 	curl -fsS http://$(ALERT_ADDR)/metrics > /tmp/alert-metrics.txt; \
 	grep -q 'dvfsd_alerts_firing' /tmp/alert-metrics.txt \
 		&& grep -q 'dvfsd_energy_joules_total' /tmp/alert-metrics.txt \
-		|| { echo "alert-smoke: alert/energy metrics missing"; exit 1; }; \
+		&& grep -q 'dvfsd_model_under_rate' /tmp/alert-metrics.txt \
+		&& grep -q 'dvfsd_slo_burn_rate{workload="fleet",window="slow"}' /tmp/alert-metrics.txt \
+		|| { echo "alert-smoke: alert/energy/measurement metrics missing"; exit 1; }; \
+	! grep -qE 'dvfsd_slo_alert|dvfsd_model_stale' /tmp/alert-metrics.txt \
+		|| { echo "alert-smoke: retired alert gauges still exported"; exit 1; }; \
 	for i in $$(seq 1 100); do \
 		curl -fsS "http://$(ALERT_ADDR)/debug/dash?window=15m" | grep -q 'class="firing"' && break; sleep 0.1; \
 	done; \
@@ -322,5 +330,5 @@ alert-smoke:
 	kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
 	grep -q '"to":"firing"' $$dir/incidents.jsonl && grep -q '"to":"resolved"' $$dir/incidents.jsonl \
 		|| { echo "alert-smoke: incident journal missing transitions"; exit 1; }; \
-	echo "alert-smoke: fire, timeline, overlay, resolve, and journal all live"; \
+	echo "alert-smoke: fire (drift and fleet SLO), timeline, overlay, resolve, and journal all live"; \
 	rm -rf $$dir; exit 0

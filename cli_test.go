@@ -639,8 +639,9 @@ func TestCLIDvfsreplayChecksAreSingleDevice(t *testing.T) {
 	}
 }
 
-// The benchmark-document flags are gone: each is now an unknown flag,
-// a usage error with exit status 2.
+// Retired flags are gone: the benchmark-document flags and dvfsd's
+// SLO window sizes (now constants). Each is an unknown flag, a usage
+// error with exit status 2.
 func TestCLIRetiredBenchFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -652,6 +653,8 @@ func TestCLIRetiredBenchFlags(t *testing.T) {
 		{"-baseline", []string{"./cmd/dvfsreplay", "-input", "x", "-baseline", "x"}},
 		{"-bench", []string{"./cmd/dvfsfleet", "-bench", "x"}},
 		{"-bench", []string{"./cmd/dvfstsdb", "-bench"}},
+		{"-slo-fast", []string{"./cmd/dvfsd", "-slo-fast", "128"}},
+		{"-slo-slow", []string{"./cmd/dvfsd", "-slo-slow", "2048"}},
 	}
 	for _, tc := range tests {
 		t.Run(tc.args[0][len("./cmd/"):], func(t *testing.T) {

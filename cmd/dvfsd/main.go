@@ -67,8 +67,6 @@ func main() {
 	tracePath := flag.String("trace", "", "append decision events as JSONL to this path (dvfstrace reads it)")
 	debug := flag.Bool("debug", true, "serve /debug/decisions and /debug/pprof/")
 	sloTarget := flag.Float64("slo-target", 0.01, "deadline-miss SLO target per workload (0 disables burn-rate tracking)")
-	sloFast := flag.Int("slo-fast", 128, "fast burn-rate window in jobs")
-	sloSlow := flag.Int("slo-slow", 2048, "slow burn-rate window in jobs")
 	streamQueue := flag.Int("stream-queue", 256, "queued events per /v1/events subscriber before dropping (0 disables streaming)")
 	spanEvery := flag.Int("span-every", 1, "capture a per-phase span ledger on every Nth decision (1 = all)")
 	fleetOn := flag.Bool("fleet", true, "serve fleet observability: POST /v1/fleet/ingest, GET /v1/fleet, and /debug/fleet")
@@ -125,7 +123,7 @@ func main() {
 	fleetCfg := fleetSettings{on: *fleetOn, topK: *fleetTopK, maxIngest: *fleetMaxIngest}
 	tsdbCfg := tsdbSettings{scrape: *tsdbScrape, dir: *tsdbDir, retention: *tsdbRetention, block: *tsdbBlock}
 	alertCfg := alertSettings{on: *alertsOn, rules: *rulesPath, incidentLog: *incidentLog, webhook: *alertWebhook, budgetW: *energyBudget}
-	if err := run(*addr, *data, *platName, *workers, *queue, *maxInflight, *timeout, *seed, *preload, *tracePath, *debug, *sloTarget, *sloFast, *sloSlow, *streamQueue, *spanEvery, fleetCfg, tsdbCfg, alertCfg, log); err != nil {
+	if err := run(*addr, *data, *platName, *workers, *queue, *maxInflight, *timeout, *seed, *preload, *tracePath, *debug, *sloTarget, *streamQueue, *spanEvery, fleetCfg, tsdbCfg, alertCfg, log); err != nil {
 		fmt.Fprintln(os.Stderr, "dvfsd:", err)
 		if errors.Is(err, errUsage) {
 			flag.Usage()
@@ -162,7 +160,7 @@ type alertSettings struct {
 	budgetW     float64 // 0 = no burn tracking
 }
 
-func run(addr, data, platName string, workers, queue, maxInflight int, timeout time.Duration, seed int64, preload, tracePath string, debug bool, sloTarget float64, sloFast, sloSlow, streamQueue, spanEvery int, fleetCfg fleetSettings, tsdbCfg tsdbSettings, alertCfg alertSettings, log *slog.Logger) error {
+func run(addr, data, platName string, workers, queue, maxInflight int, timeout time.Duration, seed int64, preload, tracePath string, debug bool, sloTarget float64, streamQueue, spanEvery int, fleetCfg fleetSettings, tsdbCfg tsdbSettings, alertCfg alertSettings, log *slog.Logger) error {
 	// Validate everything up front: a daemon must not come up half
 	// configured.
 	plat, err := platform.ByName(platName)
@@ -185,8 +183,9 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	// Decision tracing: the ring always backs /debug/decisions; a
 	// JSONL sink is attached when -trace names a file. The drift
 	// monitor watches completed events (residuals arrive only from
-	// co-located controllers; served predictions run client-side) and
-	// flips dvfsd_model_stale on the shared /metrics page.
+	// co-located controllers and fleet ingest; served predictions run
+	// client-side); the server exports its under-prediction rates for
+	// the model_stale rule.
 	var sinks []obs.Sink
 	if tracePath != "" {
 		f, err := os.OpenFile(tracePath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -221,28 +220,13 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	sinks = append(sinks, energy)
 	// SLO burn-rate tracking: every completed decision event feeds a
 	// per-workload deadline-miss SLO with fast/slow burn-rate windows;
-	// burn rates and the alert bit land on the shared /metrics page and
-	// GET /debug/slo, and the drift monitor's stale warnings carry the
-	// current burn rates for correlation.
+	// the server exports the burn rates for the slo_burn rule and
+	// serves them at GET /debug/slo.
 	var slo *obs.SLOTracker
 	if sloTarget > 0 {
-		slo = obs.NewSLOTracker(obs.SLOConfig{
-			Target:     sloTarget,
-			FastWindow: sloFast,
-			SlowWindow: sloSlow,
-			Log:        log,
-			BurnGauge: metrics.Registry().GaugeVec("dvfsd_slo_burn_rate",
-				"Deadline-miss rate over a recent window divided by the SLO target.", "workload", "window"),
-			AlertGauge: metrics.Registry().GaugeVec("dvfsd_slo_alert",
-				"1 while a workload's fast and slow burn rates both exceed their thresholds.", "workload"),
-		})
+		slo = obs.NewSLOTracker(obs.SLOConfig{Target: sloTarget})
 	}
-	drift := obs.NewDriftMonitor(obs.DriftConfig{
-		Log: log,
-		StaleGauge: metrics.Registry().GaugeVec("dvfsd_model_stale",
-			"1 when a model's recent under-prediction rate exceeds the trained quantile.", "workload"),
-		SLO: slo,
-	})
+	drift := obs.NewDriftMonitor()
 	tracer := obs.NewTracer(obs.TracerOptions{Sinks: sinks, Drift: drift, SLO: slo})
 	defer func() {
 		if err := tracer.Close(); err != nil {
@@ -276,11 +260,7 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 			EnergyPerJob: trace.EnergyEstimator(),
 		})
 		if sloTarget > 0 {
-			fleetSLO = obs.NewSLOTracker(obs.SLOConfig{
-				Target:  sloTarget,
-				MaxKeys: 64,
-				Log:     log,
-			})
+			fleetSLO = obs.NewSLOTracker(obs.SLOConfig{Target: sloTarget, MaxKeys: 64})
 		}
 	}
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/stats"
 )
 
 // The online energy meter is the live counterpart of dvfsreplay's
@@ -23,7 +24,7 @@ import (
 // //dvfs:hotpath: table lookups under one short mutex, with
 // allocations confined to the first event of a new stream.
 
-// EnergyConfig wires an EnergyMeter. Zero values select defaults.
+// EnergyConfig wires an EnergyMeter.
 type EnergyConfig struct {
 	// Platform prices events that do not carry a platform name (the
 	// common case: this daemon's own serving). Required for those
@@ -31,39 +32,21 @@ type EnergyConfig struct {
 	// counted in Skipped rather than guessed at.
 	Platform *platform.Platform
 	// BudgetW is the average power budget per stream in watts; > 0
-	// enables the fast/slow burn-rate windows (mirroring
-	// obs.SLOTracker) exported as dvfsd_energy_budget_burn.
+	// enables the fast/slow burn-rate windows (obs.FastBurnWindow and
+	// obs.SlowBurnWindow decisions) exported as
+	// dvfsd_energy_budget_burn.
 	BudgetW float64
-	// FastWindow and SlowWindow are the burn windows in decisions;
-	// zero → 128 and 2048.
-	FastWindow, SlowWindow int
-	// MinSamples gates burn reporting until a window has enough
-	// decisions to mean anything; zero → 16.
-	MinSamples int
-	// MaxKeys bounds tracked (workload, device) streams; excess folds
-	// into the overflow stream. Zero → 64.
-	MaxKeys int
 }
 
-func (c EnergyConfig) withDefaults() EnergyConfig {
-	if c.FastWindow <= 0 {
-		c.FastWindow = 128
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 2048
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MaxKeys <= 0 {
-		c.MaxKeys = 64
-	}
-	return c
-}
-
-// EnergyOverflowKey is the stream that absorbs decisions beyond the
-// MaxKeys bound, so totals stay accurate while memory stays bounded.
-const EnergyOverflowKey = "_overflow"
+const (
+	// energyMinSamples gates burn reporting until a window has enough
+	// decisions to mean anything.
+	energyMinSamples = 16
+	// energyMaxKeys bounds tracked (workload, device) streams; excess
+	// folds into the obs.OverflowKey stream, so totals stay accurate
+	// while memory stays bounded.
+	energyMaxKeys = 64
+)
 
 // streamKey identifies one metered stream. A struct key keeps the hot
 // path's map lookup allocation-free.
@@ -79,41 +62,18 @@ type energyStream struct {
 	oneShots   int64   // of those, priced from the prediction (Done=false)
 	predBasisJ float64 // energy of the one-shot decisions
 
-	fast, slow *burnWin
+	// Budget-burn windows over the same recent decisions: joules and
+	// seconds, fast and slow. Empty without a budget.
+	fastJ, fastSec, slowJ, slowSec stats.Window
 }
 
-// burnWin is a fixed-size ring of (joules, seconds) pairs with running
-// sums — the energy twin of obs.SLOTracker's miss window.
-type burnWin struct {
-	j, sec       []float64
-	idx, n       int
-	sumJ, sumSec float64
-}
-
-func newBurnWin(size int) *burnWin {
-	return &burnWin{j: make([]float64, size), sec: make([]float64, size)}
-}
-
-func (w *burnWin) push(j, sec float64) {
-	w.sumJ += j - w.j[w.idx]
-	w.sumSec += sec - w.sec[w.idx]
-	w.j[w.idx] = j
-	w.sec[w.idx] = sec
-	w.idx++
-	if w.idx == len(w.j) {
-		w.idx = 0
-	}
-	if w.n < len(w.j) {
-		w.n++
-	}
-}
-
-// watts is the window's average power draw.
-func (w *burnWin) watts() float64 {
-	if w.sumSec <= 0 {
+// burn is a window's average power draw over the budget; 0 until
+// energyMinSamples decisions have landed.
+func burn(j, sec *stats.Window, budgetW float64) float64 {
+	if j.Len() < energyMinSamples || sec.Sum() <= 0 {
 		return 0
 	}
-	return w.sumJ / w.sumSec
+	return j.Sum() / sec.Sum() / budgetW
 }
 
 // EnergyMeter accumulates per-decision energy live, keyed by
@@ -129,7 +89,6 @@ type EnergyMeter struct {
 
 // NewEnergyMeter builds a meter.
 func NewEnergyMeter(cfg EnergyConfig) *EnergyMeter {
-	cfg = cfg.withDefaults()
 	m := &EnergyMeter{
 		cfg:     cfg,
 		tables:  map[string]*platform.PowerTable{},
@@ -187,17 +146,17 @@ func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
 		st.predBasisJ += run
 	}
 	joules += run
-	if st.fast != nil {
-		if dt := st.led.Now() - t0; dt > 0 {
-			st.fast.push(joules, dt)
-			st.slow.push(joules, dt)
-		}
+	if dt := st.led.Now() - t0; m.cfg.BudgetW > 0 && dt > 0 {
+		st.fastJ.Push(joules)
+		st.fastSec.Push(dt)
+		st.slowJ.Push(joules)
+		st.slowSec.Push(dt)
 	}
 	m.mu.Unlock()
 }
 
 // newStream resolves the event's platform and registers the stream,
-// folding into the overflow stream past MaxKeys. Caller holds m.mu.
+// folding into the overflow stream past energyMaxKeys. Caller holds m.mu.
 func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream {
 	pt, ok := m.tables[platName]
 	if !ok {
@@ -207,8 +166,8 @@ func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream
 		m.tables[platName] = pt
 	}
 	key := streamKey{workload, device}
-	if len(m.streams) >= m.cfg.MaxKeys {
-		key = streamKey{EnergyOverflowKey, EnergyOverflowKey}
+	if len(m.streams) >= energyMaxKeys {
+		key = streamKey{obs.OverflowKey, obs.OverflowKey}
 		if st := m.streams[key]; st != nil {
 			return st
 		}
@@ -218,8 +177,10 @@ func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream
 		led := platform.NewLedger(pt)
 		st.led = &led
 		if m.cfg.BudgetW > 0 {
-			st.fast = newBurnWin(m.cfg.FastWindow)
-			st.slow = newBurnWin(m.cfg.SlowWindow)
+			st.fastJ = stats.NewWindow(obs.FastBurnWindow)
+			st.fastSec = stats.NewWindow(obs.FastBurnWindow)
+			st.slowJ = stats.NewWindow(obs.SlowBurnWindow)
+			st.slowSec = stats.NewWindow(obs.SlowBurnWindow)
 		}
 	}
 	m.streams[key] = st
@@ -243,7 +204,7 @@ type EnergyStreamStats struct {
 	PredictorShare float64 // PredictorJ / Total()
 
 	// FastBurn and SlowBurn are windowed watts divided by BudgetW;
-	// zero until MinSamples decisions have landed or when no budget is
+	// zero until 16 decisions have landed or when no budget is
 	// configured.
 	FastBurn, SlowBurn float64
 	DurationSec        float64
@@ -271,13 +232,9 @@ func (m *EnergyMeter) Snapshot() []EnergyStreamStats {
 		if s.Total() > 0 {
 			s.PredictorShare = s.PredictorJ / s.Total()
 		}
-		if m.cfg.BudgetW > 0 && st.fast != nil {
-			if st.fast.n >= m.cfg.MinSamples {
-				s.FastBurn = st.fast.watts() / m.cfg.BudgetW
-			}
-			if st.slow.n >= m.cfg.MinSamples {
-				s.SlowBurn = st.slow.watts() / m.cfg.BudgetW
-			}
+		if m.cfg.BudgetW > 0 {
+			s.FastBurn = burn(&st.fastJ, &st.fastSec, m.cfg.BudgetW)
+			s.SlowBurn = burn(&st.slowJ, &st.slowSec, m.cfg.BudgetW)
 		}
 		out = append(out, s)
 	}

@@ -1,7 +1,9 @@
 package alert
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/obs"
@@ -132,17 +134,17 @@ func TestEnergyUnknownPlatformSkipped(t *testing.T) {
 }
 
 func TestEnergyOverflowFold(t *testing.T) {
-	m := NewEnergyMeter(EnergyConfig{Platform: platform.ODROIDXU3A7(), MaxKeys: 2})
-	for _, dev := range []string{"d0", "d1", "d2", "d3"} {
-		m.Emit(&obs.DecisionEvent{Workload: "w", Device: dev, Level: 0, Done: true, ActualExecSec: 1})
+	m := NewEnergyMeter(EnergyConfig{Platform: platform.ODROIDXU3A7()})
+	for i := 0; i < energyMaxKeys+2; i++ {
+		m.Emit(&obs.DecisionEvent{Workload: "w", Device: fmt.Sprintf("d%d", i), Level: 0, Done: true, ActualExecSec: 1})
 	}
 	snap := m.Snapshot()
-	if len(snap) != 3 { // d0, d1, overflow
-		t.Fatalf("streams = %d, want 3", len(snap))
+	if len(snap) != energyMaxKeys+1 { // d0 … d63, overflow
+		t.Fatalf("streams = %d, want %d", len(snap), energyMaxKeys+1)
 	}
 	var overflow *EnergyStreamStats
 	for i := range snap {
-		if snap[i].Workload == EnergyOverflowKey {
+		if snap[i].Workload == obs.OverflowKey {
 			overflow = &snap[i]
 		}
 	}
@@ -152,14 +154,14 @@ func TestEnergyOverflowFold(t *testing.T) {
 }
 
 // TestEnergyBudgetBurn drives a constant-power stream and checks the
-// windowed burn converges to watts/budget once MinSamples land.
+// windowed burn converges to watts/budget once energyMinSamples land.
 func TestEnergyBudgetBurn(t *testing.T) {
 	p := platform.ODROIDXU3A7()
 	lv := p.NumLevels() - 1
 	lt, _ := p.Level(lv)
 	watts := p.ActivePower(lt)
 	budget := watts / 2 // running flat-out at 2× budget
-	m := NewEnergyMeter(EnergyConfig{Platform: p, BudgetW: budget, MinSamples: 8})
+	m := NewEnergyMeter(EnergyConfig{Platform: p, BudgetW: budget})
 	cursor := 0.0
 	for i := 0; i < 6; i++ {
 		m.Emit(&obs.DecisionEvent{Workload: "w", FromLevel: lv, Level: lv,
@@ -167,7 +169,7 @@ func TestEnergyBudgetBurn(t *testing.T) {
 		cursor += 0.5
 	}
 	if s := m.Snapshot()[0]; s.FastBurn != 0 || s.SlowBurn != 0 {
-		t.Fatalf("burn reported before MinSamples: %+v", s)
+		t.Fatalf("burn reported before energyMinSamples: %+v", s)
 	}
 	for i := 0; i < 10; i++ {
 		m.Emit(&obs.DecisionEvent{Workload: "w", FromLevel: lv, Level: lv,
@@ -191,5 +193,38 @@ func TestEnergyLevelClamp(t *testing.T) {
 	top := p.MaxLevel()
 	if s := m.Snapshot()[0]; !approx(s.ExecJ, p.ActivePower(top)*1) {
 		t.Fatalf("clamped exec = %g, want %g", s.ExecJ, p.ActivePower(top))
+	}
+}
+
+// TestEnergyBurnPinned pins the windowed budget burn on a seeded
+// decision stream that runs past both windows (128 and 2048
+// decisions): a change to the window arithmetic must not move a bit.
+func TestEnergyBurnPinned(t *testing.T) {
+	p := platform.ODROIDXU3A7()
+	m := NewEnergyMeter(EnergyConfig{Platform: p, BudgetW: 0.5})
+	rng := rand.New(rand.NewSource(1))
+	type pin struct{ fast, slow float64 }
+	checkpoints := map[int]pin{
+		100:  {fast: 0.5972335285247825, slow: 0.5972335285247825},
+		3000: {fast: 0.7043818781601007, slow: 0.6267367323515003},
+	}
+	cursor, from := 0.0, 0
+	for i := 1; i <= 3000; i++ {
+		lv := rng.Intn(p.NumLevels())
+		exec := 0.01 + 0.03*rng.Float64()
+		m.Emit(&obs.DecisionEvent{Workload: "w", Device: "d0",
+			TimeSec: cursor, FromLevel: from, Level: lv,
+			PredictorSec: 0.0005, SwitchSec: 0.0001,
+			Done: true, ActualExecSec: exec})
+		cursor += exec + 0.05*rng.Float64() + 0.001
+		from = lv
+		want, ok := checkpoints[i]
+		if !ok {
+			continue
+		}
+		s := m.Snapshot()[0]
+		if got := (pin{s.FastBurn, s.SlowBurn}); got != want {
+			t.Errorf("after %d decisions: got %#v, want %#v", i, got, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/tsdb"
 )
 
@@ -60,7 +61,7 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 	}
 	defer store.Close()
 	const baseMs = int64(1_700_000_000_000)
-	stale := store.Series("dvfsd_model_stale", tsdb.Label{Name: "workload", Value: "sha"})
+	stale := store.Series("dvfsd_model_under_rate", tsdb.Label{Name: "workload", Value: "sha"})
 	burn := store.Series("dvfsd_energy_budget_burn",
 		tsdb.Label{Name: "device", Value: "d0"},
 		tsdb.Label{Name: "window", Value: "slow"},
@@ -85,7 +86,7 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 	// Breach: pending first (For = 2×scrape = 2s), firing after it holds.
 	for sec := 1; sec <= 3; sec++ {
 		ms := baseMs + int64(sec)*1000
-		stale.Append(ms, 1)
+		stale.Append(ms, 0.2)
 		burn.Append(ms, 1.5)
 		eng.Eval(at(baseMs, sec))
 	}
@@ -131,8 +132,7 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 		t.Fatalf("restart re-notified %d transitions", n)
 	}
 
-	// Recovery: model_stale resolves at its threshold, energy burn only
-	// under its hysteresis clear boundary (0.5).
+	// Recovery: each rule resolves under its hysteresis clear boundary.
 	ms := baseMs + 4000
 	stale.Append(ms, 0)
 	burn.Append(ms, 0.3)
@@ -160,13 +160,69 @@ func TestBuiltinLifecycleAndRestart(t *testing.T) {
 	}
 
 	// The firing interval shows up as a chart overlay span.
-	spans := eng2.FiringSpans("dvfsd_model_stale", baseMs, baseMs+10_000)
+	spans := eng2.FiringSpans("dvfsd_model_under_rate", baseMs, baseMs+10_000)
 	if len(spans) != 1 {
 		t.Fatalf("firing spans = %v, want one", spans)
 	}
 	if spans[0].FromMs != baseMs+3000 || spans[0].ToMs != baseMs+4000 {
 		t.Fatalf("span [%d, %d], want [%d, %d]",
 			spans[0].FromMs, spans[0].ToMs, baseMs+3000, baseMs+4000)
+	}
+}
+
+// TestBuiltinMeasurementRules drives the two built-in rules over the
+// obs measurements on a synthetic 1s scrape clock (For = 2s):
+// model_stale fires above obs.StaleUnderRate, holds inside the band and
+// resolves below half of it; slo_burn fires for the fleet key of the
+// shared dvfsd_slo_burn_rate family.
+func TestBuiltinMeasurementRules(t *testing.T) {
+	store, err := tsdb.Open(tsdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	eng, err := New(Config{Querier: store, Rules: BuiltinRules(BuiltinOptions{Scrape: time.Second})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	const baseMs = int64(1_700_000_000_000)
+	under := store.Series("dvfsd_model_under_rate", tsdb.Label{Name: "workload", Value: "fleet:sha"})
+	burn := store.Series("dvfsd_slo_burn_rate",
+		tsdb.Label{Name: "window", Value: "slow"},
+		tsdb.Label{Name: "workload", Value: obs.FleetKey})
+	state := func(rule string) State {
+		for _, a := range eng.Snapshot().Active {
+			if a.Rule == rule {
+				return a.State
+			}
+		}
+		return StateInactive
+	}
+	bound := obs.StaleUnderRate
+	steps := []struct {
+		under, burn float64
+		stale, slo  State
+	}{
+		{bound, 1, StateInactive, StateInactive},     // at the bound: no breach
+		{1.5 * bound, 2, StatePending, StatePending}, // breach opens For
+		{1.5 * bound, 3, StatePending, StatePending},
+		{1.5 * bound, 3, StateFiring, StateFiring},    // held for For
+		{0.75 * bound, 1.5, StateFiring, StateFiring}, // inside the band
+		{0.6 * bound, 1, StateFiring, StateFiring},
+		{0.4 * bound, 0.5, StateInactive, StateInactive}, // below it: resolved
+	}
+	for i, st := range steps {
+		ms := baseMs + int64(i)*1000
+		under.Append(ms, st.under)
+		burn.Append(ms, st.burn)
+		eng.Eval(at(baseMs, i))
+		if got := state("model_stale"); got != st.stale {
+			t.Errorf("step %d (under rate %.4f): model_stale %s, want %s", i, st.under, got, st.stale)
+		}
+		if got := state("slo_burn"); got != st.slo {
+			t.Errorf("step %d (burn %g): slo_burn %s, want %s", i, st.burn, got, st.slo)
+		}
 	}
 }
 

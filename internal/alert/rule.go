@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/tsdb"
 )
 
@@ -245,9 +246,6 @@ func LoadRules(path string) ([]Rule, error) {
 type BuiltinOptions struct {
 	// Scrape is the telemetry scrape interval; zero → 5s.
 	Scrape time.Duration
-	// SLOSlowBurn is the slow-window burn-rate boundary; zero → 2
-	// (obs.SLOConfig's default slow threshold).
-	SLOSlowBurn float64
 	// EnergyBudget adds the energy-budget burn rule (set when dvfsd
 	// runs with -energy-budget > 0).
 	EnergyBudget bool
@@ -261,22 +259,20 @@ func BuiltinRules(opts BuiltinOptions) []Rule {
 	if scrape <= 0 {
 		scrape = 5 * time.Second
 	}
-	slowBurn := opts.SLOSlowBurn
-	if slowBurn <= 0 {
-		slowBurn = 2
-	}
 	window := Duration(10 * scrape)
 	hold := Duration(2 * scrape)
 	zero := 0.0
-	half := slowBurn / 2
+	staleClear := obs.StaleUnderRate / 2
+	burnClear := 1.0
 	rules := []Rule{{
 		Name:      "model_stale",
 		Kind:      KindThreshold,
-		Metric:    "dvfsd_model_stale",
+		Metric:    "dvfsd_model_under_rate",
 		Agg:       "last",
 		Window:    window,
 		Op:        OpGT,
-		Threshold: 0.5,
+		Threshold: obs.StaleUnderRate,
+		Clear:     &staleClear,
 		For:       hold,
 		Severity:  "critical",
 		Summary:   "model under-prediction rate exceeds the trained quantile — consider retraining",
@@ -288,8 +284,8 @@ func BuiltinRules(opts BuiltinOptions) []Rule {
 		Agg:       "last",
 		Window:    window,
 		Op:        OpGE,
-		Threshold: slowBurn,
-		Clear:     &half,
+		Threshold: 2,
+		Clear:     &burnClear,
 		For:       hold,
 		Severity:  "critical",
 		Summary:   "deadline-miss burn rate is consuming the SLO error budget",

@@ -36,8 +36,8 @@ func TestDurationJSON(t *testing.T) {
 func TestParseRules(t *testing.T) {
 	src := `{
 	  "rules": [
-	    {"name": "drift", "metric": "dvfsd_model_stale", "agg": "last",
-	     "window": "30s", "op": ">", "threshold": 0.5, "for": "10s",
+	    {"name": "drift", "metric": "dvfsd_model_under_rate", "agg": "last",
+	     "window": "30s", "op": ">", "threshold": 0.05, "for": "10s",
 	     "severity": "critical", "summary": "model is stale"},
 	    {"name": "drops", "kind": "burn_rate", "metric": "obs_ring_dropped_total",
 	     "labels": {"ring": "decisions"}, "window": 60, "threshold": 0}

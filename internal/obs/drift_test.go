@@ -1,68 +1,50 @@
 package obs
 
 import (
-	"bytes"
-	"log/slog"
 	"math"
-	"strings"
+	"math/rand"
 	"sync"
 	"testing"
 )
 
+// TestDriftMonitorFlipsAndRecovers walks one workload's windowed
+// under-prediction rate across the StaleUnderRate band the model_stale
+// rule thresholds: healthy below it, drifted above it, recovered below
+// half of it once the window has turned over.
 func TestDriftMonitorFlipsAndRecovers(t *testing.T) {
-	var logBuf bytes.Buffer
-	reg := NewRegistry()
-	gauge := reg.GaugeVec("model_stale", "stale", "workload")
-	d := NewDriftMonitor(DriftConfig{
-		Window: 100, MinSamples: 50, Alpha: 100,
-		Log:        slog.New(slog.NewTextHandler(&logBuf, nil)),
-		StaleGauge: gauge,
-	})
+	d := NewDriftMonitor()
 
 	// A healthy stream: 1% under-prediction, matching the trained
 	// α-quantile for α=100.
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 300; i++ {
 		res := -0.001
 		if i%100 == 0 {
 			res = 0.002
 		}
 		d.Observe("ldecode", res)
 	}
-	if d.Stale("ldecode") {
-		t.Fatal("healthy stream flagged stale")
-	}
-	if gauge.With("ldecode").Value() != 0 {
-		t.Fatal("gauge set without a transition")
+	if r := d.UnderRate("ldecode"); r > StaleUnderRate {
+		t.Fatalf("healthy stream under rate %.4f above %.4f", r, StaleUnderRate)
 	}
 
 	// Drift: 20% under-prediction — far beyond 3/(1+α) ≈ 3%.
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 256; i++ {
 		res := -0.001
 		if i%5 == 0 {
 			res = 0.002
 		}
 		d.Observe("ldecode", res)
 	}
-	if !d.Stale("ldecode") {
-		t.Fatalf("drifted stream not flagged (under rate %.3f)", d.UnderRate("ldecode"))
-	}
-	if gauge.With("ldecode").Value() != 1 {
-		t.Error("stale gauge not set")
-	}
-	if !strings.Contains(logBuf.String(), "prediction model stale") {
-		t.Errorf("missing staleness warning in log:\n%s", logBuf.String())
+	if r := d.UnderRate("ldecode"); r <= StaleUnderRate {
+		t.Fatalf("drifted stream under rate %.4f not above %.4f", r, StaleUnderRate)
 	}
 
-	// Recovery with hysteresis: once over-predicting again, the flag
-	// clears only below half the threshold.
-	for i := 0; i < 200; i++ {
+	// Recovery: over-predicting again for a whole window.
+	for i := 0; i < 256; i++ {
 		d.Observe("ldecode", -0.001)
 	}
-	if d.Stale("ldecode") {
-		t.Fatal("recovered stream still stale")
-	}
-	if gauge.With("ldecode").Value() != 0 {
-		t.Error("stale gauge not cleared")
+	if r := d.UnderRate("ldecode"); r >= StaleUnderRate/2 {
+		t.Fatalf("recovered stream under rate %.4f not below %.4f", r, StaleUnderRate/2)
 	}
 
 	if ws := d.Workloads(); len(ws) != 1 || ws[0] != "ldecode" {
@@ -71,7 +53,7 @@ func TestDriftMonitorFlipsAndRecovers(t *testing.T) {
 }
 
 func TestDriftMonitorQuantilesAndIsolation(t *testing.T) {
-	d := NewDriftMonitor(DriftConfig{Window: 64})
+	d := NewDriftMonitor()
 	if !math.IsNaN(d.Quantile("none", 0.5)) || !math.IsNaN(d.UnderRate("none")) {
 		t.Fatal("unknown workload should report NaN")
 	}
@@ -85,18 +67,16 @@ func TestDriftMonitorQuantilesAndIsolation(t *testing.T) {
 	if r := d.UnderRate("b"); r != 0 {
 		t.Errorf("workload b leaked under-predictions: %g", r)
 	}
-	// MinSamples default (50) reached with 100% under rate → stale for
-	// a only.
-	if !d.Stale("a") || d.Stale("b") {
-		t.Errorf("stale(a)=%v stale(b)=%v, want true/false", d.Stale("a"), d.Stale("b"))
+	if r := d.UnderRate("a"); r != 1 {
+		t.Errorf("workload a under rate = %g, want 1", r)
 	}
 }
 
 // The monitor is shared between the request path (Observe) and the
-// metrics/debug paths (Stale, UnderRate, Quantile, Workloads); all four
+// metrics/debug paths (UnderRates, UnderRate, Quantile, Workloads); all four
 // must be safe to call concurrently. Run under -race.
 func TestDriftMonitorConcurrent(t *testing.T) {
-	d := NewDriftMonitor(DriftConfig{Window: 64, MinSamples: 8})
+	d := NewDriftMonitor()
 	workloads := []string{"a", "b", "c"}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -115,7 +95,7 @@ func TestDriftMonitorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				w := workloads[(g+i)%len(workloads)]
-				d.Stale(w)
+				d.UnderRates()
 				d.UnderRate(w)
 				d.Quantile(w, 0.5)
 				d.Workloads()
@@ -126,6 +106,34 @@ func TestDriftMonitorConcurrent(t *testing.T) {
 	for _, w := range workloads {
 		if n := d.Quantile(w, 0.5); math.IsNaN(n) {
 			t.Errorf("workload %s unobserved after concurrent run", w)
+		}
+	}
+}
+
+// TestDriftMonitorMeasurementPinned pins the under-prediction rate and
+// residual quantiles on a seeded residual stream that runs past the
+// 256-residual window: a change to the window must not move them.
+func TestDriftMonitorMeasurementPinned(t *testing.T) {
+	d := NewDriftMonitor()
+	rng := rand.New(rand.NewSource(1))
+	type pin struct{ under, p50, p95 float64 }
+	checkpoints := map[int]pin{
+		100:  {under: 0.02, p50: -0.001901879951397766, p95: -0.00026386131958926917},
+		1000: {under: 0.265625, p50: -0.0005736225371025178, p95: 0.0011468281732904314},
+	}
+	for i := 1; i <= 1000; i++ {
+		mean := -0.002
+		if i > 600 {
+			mean = -0.0005
+		}
+		d.Observe("w", mean+0.001*rng.NormFloat64())
+		want, ok := checkpoints[i]
+		if !ok {
+			continue
+		}
+		got := pin{d.UnderRate("w"), d.Quantile("w", 0.5), d.Quantile("w", 0.95)}
+		if got != want {
+			t.Errorf("after %d residuals: got %#v, want %#v", i, got, want)
 		}
 	}
 }

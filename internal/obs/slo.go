@@ -1,36 +1,28 @@
 package obs
 
 import (
-	"log/slog"
-	"math"
 	"sort"
 	"sync"
+
+	"repro/internal/stats"
 )
 
-// SLOConfig parameterizes the deadline-miss SLO tracker. The zero
-// value selects production-style defaults: a 1% miss-rate objective
-// watched over a fast 128-job window (burn ≥ 10× fires) and a slow
-// 2048-job window (burn ≥ 2× fires), alerting only when both agree —
-// the multi-window multi-burn-rate pattern, counted in jobs rather
-// than wall time because the interactive workloads here are periodic
-// job streams and a job count is deterministic under simulation.
+// Burn-rate windows, in completed jobs for the SLO tracker and in
+// decisions for the energy meter. Counted in jobs rather than wall
+// time because the interactive workloads here are periodic job streams
+// and a job count is deterministic under simulation.
+const (
+	FastBurnWindow = 128
+	SlowBurnWindow = 2048
+)
+
+// SLOConfig parameterizes the deadline-miss SLO tracker.
 type SLOConfig struct {
 	// Target is the acceptable deadline-miss fraction; zero → 0.01.
 	// (A negative value is clamped to 0.01; an SLO of "zero misses
 	// ever" would make any single miss an infinite burn, so express
 	// strict SLOs as a small positive target instead.)
 	Target float64
-	// FastWindow and SlowWindow are the sliding-window sizes in
-	// completed jobs; zero → 128 and 2048.
-	FastWindow int
-	SlowWindow int
-	// FastBurn and SlowBurn are the burn-rate alert thresholds
-	// (observed miss rate ÷ Target) for each window; zero → 10 and 2.
-	FastBurn float64
-	SlowBurn float64
-	// MinSamples gates alerting until a workload has completed at
-	// least this many jobs; zero → 32.
-	MinSamples int
 	// MaxKeys bounds the number of distinct keys the tracker will
 	// allocate windows for; zero → unbounded (the original
 	// per-workload behaviour, where cardinality is small and known).
@@ -39,45 +31,14 @@ type SLOConfig struct {
 	// catch-all OverflowKey so totals stay accurate while memory stays
 	// fixed.
 	MaxKeys int
-	// Log receives alert transitions; nil discards them.
-	Log *slog.Logger
-	// BurnGauge, when non-nil, tracks the current burn rate per
-	// (workload, window) with window ∈ {"fast", "slow"}.
-	BurnGauge *GaugeVec
-	// AlertGauge, when non-nil, is set to 1/0 per workload on alert
-	// transitions.
-	AlertGauge *GaugeVec
 }
 
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Target <= 0 {
-		c.Target = 0.01
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 128
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = 2048
-	}
-	if c.FastBurn <= 0 {
-		c.FastBurn = 10
-	}
-	if c.SlowBurn <= 0 {
-		c.SlowBurn = 2
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
-	return c
-}
-
-// SLOTracker maintains per-workload deadline-miss burn rates over two
-// sliding windows and raises an alert when both windows burn error
-// budget faster than their thresholds. The fast window catches sharp
-// regressions (a bad model push) within ~a hundred jobs; the slow
-// window keeps the alert from flapping on short bursts that the error
-// budget can absorb. Alerts clear with hysteresis once both burns
-// fall below half their thresholds.
+// SLOTracker measures per-workload deadline-miss burn rates (observed
+// miss rate ÷ Target) over a fast and a slow sliding window. The fast
+// window shows a sharp regression (a bad model push) within about a
+// hundred jobs; the slow window shows whether the error budget is
+// really draining. It only measures: the alert engine's slo_burn rule
+// decides when a burn rate is an incident.
 type SLOTracker struct {
 	cfg SLOConfig
 
@@ -86,59 +47,25 @@ type SLOTracker struct {
 }
 
 type sloState struct {
-	fast, slow missWindow
+	fast, slow stats.Window // 1 per missed job, 0 per met deadline
 	total      int64
 	misses     int64
-	alerting   bool
-}
-
-// missWindow is a fixed-size circular buffer of deadline outcomes.
-type missWindow struct {
-	bits   []bool
-	next   int
-	filled bool
-	misses int
-}
-
-func (w *missWindow) push(missed bool) {
-	if w.filled && w.bits[w.next] {
-		w.misses--
-	}
-	w.bits[w.next] = missed
-	if missed {
-		w.misses++
-	}
-	w.next++
-	if w.next == len(w.bits) {
-		w.next = 0
-		w.filled = true
-	}
-}
-
-func (w *missWindow) size() int {
-	if w.filled {
-		return len(w.bits)
-	}
-	return w.next
-}
-
-func (w *missWindow) rate() float64 {
-	n := w.size()
-	if n == 0 {
-		return 0
-	}
-	return float64(w.misses) / float64(n)
 }
 
 // NewSLOTracker returns a tracker with the given configuration.
 func NewSLOTracker(cfg SLOConfig) *SLOTracker {
-	return &SLOTracker{cfg: cfg.withDefaults(), per: map[string]*sloState{}}
+	if cfg.Target <= 0 {
+		cfg.Target = 0.01
+	}
+	return &SLOTracker{cfg: cfg, per: map[string]*sloState{}}
 }
 
 // Target returns the configured miss-rate objective.
 func (t *SLOTracker) Target() float64 { return t.cfg.Target }
 
-// OverflowKey receives observations for keys beyond the MaxKeys bound.
+// OverflowKey is the catch-all key that absorbs observations beyond a
+// key bound: the SLO tracker's MaxKeys and the energy meter's stream
+// bound.
 const OverflowKey = "_overflow"
 
 // FleetKey is the key under which ObserveEvent tracks the whole
@@ -165,10 +92,14 @@ func (t *SLOTracker) ObserveEvent(e *DecisionEvent) {
 	}
 }
 
-// Observe feeds one completed job's deadline outcome for a workload
-// and re-evaluates the alert state.
+// Observe feeds one completed job's deadline outcome for a workload.
 func (t *SLOTracker) Observe(workload string, missed bool) {
+	v := 0.0
+	if missed {
+		v = 1
+	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	st := t.per[workload]
 	if st == nil {
 		if t.cfg.MaxKeys > 0 && len(t.per) >= t.cfg.MaxKeys {
@@ -181,59 +112,17 @@ func (t *SLOTracker) Observe(workload string, missed bool) {
 		}
 		if st == nil {
 			st = &sloState{
-				fast: missWindow{bits: make([]bool, t.cfg.FastWindow)},
-				slow: missWindow{bits: make([]bool, t.cfg.SlowWindow)},
+				fast: stats.NewWindow(FastBurnWindow),
+				slow: stats.NewWindow(SlowBurnWindow),
 			}
 			t.per[workload] = st
 		}
 	}
-	st.fast.push(missed)
-	st.slow.push(missed)
+	st.fast.Push(v)
+	st.slow.Push(v)
 	st.total++
 	if missed {
 		st.misses++
-	}
-
-	fastBurn := st.fast.rate() / t.cfg.Target
-	slowBurn := st.slow.rate() / t.cfg.Target
-	var transition *bool
-	switch {
-	case !st.alerting && st.total >= int64(t.cfg.MinSamples) &&
-		fastBurn >= t.cfg.FastBurn && slowBurn >= t.cfg.SlowBurn:
-		st.alerting = true
-		v := true
-		transition = &v
-	case st.alerting && fastBurn < t.cfg.FastBurn/2 && slowBurn < t.cfg.SlowBurn/2:
-		st.alerting = false
-		v := false
-		transition = &v
-	}
-	t.mu.Unlock()
-
-	if t.cfg.BurnGauge != nil {
-		t.cfg.BurnGauge.With(workload, "fast").Set(fastBurn)
-		t.cfg.BurnGauge.With(workload, "slow").Set(slowBurn)
-	}
-	if transition == nil {
-		return
-	}
-	if t.cfg.AlertGauge != nil {
-		v := 0.0
-		if *transition {
-			v = 1
-		}
-		t.cfg.AlertGauge.With(workload).Set(v)
-	}
-	if t.cfg.Log != nil {
-		if *transition {
-			t.cfg.Log.Warn("deadline-miss SLO burn-rate alert: error budget burning on both windows",
-				"workload", workload, "target", t.cfg.Target,
-				"fast_burn", fastBurn, "fast_threshold", t.cfg.FastBurn,
-				"slow_burn", slowBurn, "slow_threshold", t.cfg.SlowBurn)
-		} else {
-			t.cfg.Log.Info("deadline-miss SLO recovered",
-				"workload", workload, "fast_burn", fastBurn, "slow_burn", slowBurn)
-		}
 	}
 }
 
@@ -247,7 +136,6 @@ type SLOStatus struct {
 	MissRate float64 `json:"miss_rate"`
 	FastBurn float64 `json:"fast_burn"`
 	SlowBurn float64 `json:"slow_burn"`
-	Alerting bool    `json:"alerting"`
 }
 
 // Status returns the workload's current state; ok is false when the
@@ -268,9 +156,8 @@ func (t *SLOTracker) statusLocked(workload string, st *sloState) SLOStatus {
 		Target:   t.cfg.Target,
 		Jobs:     st.total,
 		Misses:   st.misses,
-		FastBurn: st.fast.rate() / t.cfg.Target,
-		SlowBurn: st.slow.rate() / t.cfg.Target,
-		Alerting: st.alerting,
+		FastBurn: st.fast.Mean() / t.cfg.Target,
+		SlowBurn: st.slow.Mean() / t.cfg.Target,
 	}
 	if st.total > 0 {
 		s.MissRate = float64(st.misses) / float64(st.total)
@@ -292,25 +179,4 @@ func (t *SLOTracker) Snapshot() []SLOStatus {
 		out = append(out, t.statusLocked(name, t.per[name]))
 	}
 	return out
-}
-
-// Alerting reports whether the workload currently has an active
-// burn-rate alert.
-func (t *SLOTracker) Alerting(workload string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.per[workload]
-	return st != nil && st.alerting
-}
-
-// BurnRates returns the workload's current fast- and slow-window burn
-// rates (NaN with no observations).
-func (t *SLOTracker) BurnRates(workload string) (fast, slow float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.per[workload]
-	if st == nil {
-		return math.NaN(), math.NaN()
-	}
-	return st.fast.rate() / t.cfg.Target, st.slow.rate() / t.cfg.Target
 }

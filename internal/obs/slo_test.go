@@ -1,109 +1,28 @@
 package obs
 
 import (
-	"math"
+	"math/rand"
 	"testing"
 )
 
-// sloTestConfig keeps windows tiny so tests drive full fill cycles.
-func sloTestConfig() SLOConfig {
-	return SLOConfig{
-		Target:     0.01,
-		FastWindow: 8,
-		SlowWindow: 32,
-		FastBurn:   10,
-		SlowBurn:   2,
-		MinSamples: 8,
-	}
-}
-
-func TestSLOTrackerAlertsAndClears(t *testing.T) {
-	s := NewSLOTracker(sloTestConfig())
-
-	// All hits: no alert, burn rates zero.
+func TestSLOTrackerSnapshot(t *testing.T) {
+	s := NewSLOTracker(SLOConfig{Target: 0.01})
 	for i := 0; i < 16; i++ {
-		s.Observe("ldecode", false)
-	}
-	if s.Alerting("ldecode") {
-		t.Fatal("alerting with zero misses")
-	}
-	fast, slow := s.BurnRates("ldecode")
-	if fast != 0 || slow != 0 {
-		t.Fatalf("burn rates = %g, %g, want 0, 0", fast, slow)
-	}
-
-	// A sustained miss burst: fast window saturates (rate 1.0 → burn
-	// 100 ≥ 10) and the slow window reaches 16/32 → burn 50 ≥ 2.
-	for i := 0; i < 16; i++ {
-		s.Observe("ldecode", true)
-	}
-	if !s.Alerting("ldecode") {
-		t.Fatal("no alert after sustained miss burst")
-	}
-	st, ok := s.Status("ldecode")
-	if !ok || !st.Alerting || st.Misses != 16 || st.Jobs != 32 {
-		t.Fatalf("status = %+v, ok=%v", st, ok)
-	}
-
-	// Recovery: hysteresis clears only once both burns fall below half
-	// their thresholds. Push hits until the fast window is clean and
-	// the slow window dilutes below slowBurn/2 = 1 (rate < 0.01, which
-	// for a 32-job window means zero misses remaining).
-	for i := 0; i < 64 && s.Alerting("ldecode"); i++ {
-		s.Observe("ldecode", false)
-	}
-	if s.Alerting("ldecode") {
-		t.Fatal("alert never cleared after sustained recovery")
-	}
-}
-
-func TestSLOTrackerMinSamplesGate(t *testing.T) {
-	s := NewSLOTracker(sloTestConfig())
-	// 4 straight misses would burn both windows far past threshold, but
-	// MinSamples=8 keeps the alert quiet on a cold start.
-	for i := 0; i < 4; i++ {
-		s.Observe("sha", true)
-	}
-	if s.Alerting("sha") {
-		t.Fatal("alerted before MinSamples observations")
-	}
-	for i := 0; i < 4; i++ {
-		s.Observe("sha", true)
-	}
-	if !s.Alerting("sha") {
-		t.Fatal("no alert once MinSamples reached with saturated windows")
-	}
-}
-
-func TestSLOTrackerGaugesAndSnapshot(t *testing.T) {
-	reg := NewRegistry()
-	cfg := sloTestConfig()
-	cfg.BurnGauge = reg.GaugeVec("test_slo_burn", "burn", "workload", "window")
-	cfg.AlertGauge = reg.GaugeVec("test_slo_alert", "alert", "workload")
-	s := NewSLOTracker(cfg)
-
-	for i := 0; i < 16; i++ {
-		s.Observe("b", i%2 == 0) // 50% misses: alerts
+		s.Observe("b", i%2 == 0) // 50% misses
 		s.Observe("a", false)
 	}
 	snap := s.Snapshot()
 	if len(snap) != 2 || snap[0].Workload != "a" || snap[1].Workload != "b" {
 		t.Fatalf("snapshot not sorted by workload: %+v", snap)
 	}
-	if snap[0].Alerting || !snap[1].Alerting {
-		t.Fatalf("alert states wrong: %+v", snap)
+	if snap[1].MissRate != 0.5 || snap[1].Jobs != 16 || snap[1].Misses != 8 {
+		t.Fatalf("status b = %+v, want 8/16 missed", snap[1])
 	}
-	if snap[1].MissRate != 0.5 {
-		t.Fatalf("miss rate = %g, want 0.5", snap[1].MissRate)
+	if snap[0].FastBurn != 0 || snap[0].SlowBurn != 0 {
+		t.Fatalf("healthy burn = %g/%g, want 0/0", snap[0].FastBurn, snap[0].SlowBurn)
 	}
-	if g := cfg.AlertGauge.With("b").Value(); g != 1 {
-		t.Fatalf("alert gauge = %g, want 1", g)
-	}
-	if g := cfg.BurnGauge.With("a", "fast").Value(); g != 0 {
-		t.Fatalf("healthy fast burn gauge = %g, want 0", g)
-	}
-	if g := cfg.BurnGauge.With("b", "slow").Value(); g < 2 {
-		t.Fatalf("burning slow gauge = %g, want ≥ 2", g)
+	if snap[1].FastBurn != 50 || snap[1].SlowBurn != 50 {
+		t.Fatalf("burning burn = %g/%g, want 50/50", snap[1].FastBurn, snap[1].SlowBurn)
 	}
 }
 
@@ -112,20 +31,13 @@ func TestSLOTrackerUnknownWorkload(t *testing.T) {
 	if _, ok := s.Status("nope"); ok {
 		t.Fatal("Status ok for never-observed workload")
 	}
-	if s.Alerting("nope") {
-		t.Fatal("Alerting for never-observed workload")
-	}
-	fast, slow := s.BurnRates("nope")
-	if !math.IsNaN(fast) || !math.IsNaN(slow) {
-		t.Fatalf("burn rates = %g, %g, want NaN", fast, slow)
-	}
 	if got := s.Target(); got != 0.01 {
 		t.Fatalf("default target = %g, want 0.01", got)
 	}
 }
 
 func TestTracerFeedsSLO(t *testing.T) {
-	s := NewSLOTracker(sloTestConfig())
+	s := NewSLOTracker(SLOConfig{Target: 0.01})
 	tr := NewTracer(TracerOptions{SLO: s})
 	for i := 0; i < 10; i++ {
 		p := tr.Begin(DecisionEvent{Workload: "ldecode", Job: i})
@@ -139,5 +51,38 @@ func TestTracerFeedsSLO(t *testing.T) {
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSLOTrackerMeasurementPinned pins the tracker's numbers on a
+// seeded outcome stream that runs past both windows (128 and 2048
+// jobs): a change to the window arithmetic must not move any of them.
+func TestSLOTrackerMeasurementPinned(t *testing.T) {
+	s := NewSLOTracker(SLOConfig{Target: 0.01})
+	rng := rand.New(rand.NewSource(1))
+	type pin struct {
+		jobs, misses         int64
+		missRate, fast, slow float64
+	}
+	checkpoints := map[int]pin{
+		1000: {jobs: 1000, misses: 7, missRate: 0.007, fast: 0, slow: 0.7},
+		3000: {jobs: 3000, misses: 66, missRate: 0.022, fast: 5.46875, slow: 2.880859375},
+		5000: {jobs: 5000, misses: 77, missRate: 0.0154, fast: 0, slow: 0.732421875},
+	}
+	for i := 1; i <= 5000; i++ {
+		p := 0.005
+		if i > 1500 && i < 3200 {
+			p = 0.04
+		}
+		s.Observe("w", rng.Float64() < p)
+		want, ok := checkpoints[i]
+		if !ok {
+			continue
+		}
+		st, _ := s.Status("w")
+		got := pin{st.Jobs, st.Misses, st.MissRate, st.FastBurn, st.SlowBurn}
+		if got != want {
+			t.Errorf("after %d jobs: got %#v, want %#v", i, got, want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 func TestTracerBeginEndComputesResidual(t *testing.T) {
 	var mem MemorySink
-	drift := NewDriftMonitor(DriftConfig{Window: 16, MinSamples: 4})
+	drift := NewDriftMonitor()
 	tr := NewTracer(TracerOptions{RingSize: 16, Sinks: []Sink{&mem}, Drift: drift})
 
 	p := tr.Begin(DecisionEvent{
@@ -108,7 +108,7 @@ func TestLogFlags(t *testing.T) {
 func BenchmarkTracerEmit(b *testing.B) {
 	tr := NewTracer(TracerOptions{
 		RingSize: 4096,
-		Drift:    NewDriftMonitor(DriftConfig{}),
+		Drift:    NewDriftMonitor(),
 	})
 	e := DecisionEvent{
 		Workload: "ldecode", Governor: "prediction", Predicted: true,
@@ -133,7 +133,7 @@ func BenchmarkTracerEmit(b *testing.B) {
 func benchSpans(b *testing.B, every int) {
 	tr := NewTracer(TracerOptions{
 		RingSize: 4096,
-		Drift:    NewDriftMonitor(DriftConfig{}),
+		Drift:    NewDriftMonitor(),
 	})
 	sampler := NewSpanSampler(every)
 	e := DecisionEvent{

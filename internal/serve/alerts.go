@@ -11,9 +11,9 @@ import (
 	"repro/internal/render"
 )
 
-// alertGauges surface the alert engine's state on /metrics, synced on
+// alertStateGauges surface the alert engine's state on /metrics, synced on
 // read like the fleet and tsdb gauges.
-type alertGauges struct {
+type alertStateGauges struct {
 	pending *obs.Gauge
 	firing  *obs.Gauge
 
@@ -25,8 +25,8 @@ type alertGauges struct {
 	incidentSeen uint64
 }
 
-func newAlertGauges(reg *obs.Registry) *alertGauges {
-	return &alertGauges{
+func newAlertStateGauges(reg *obs.Registry) *alertStateGauges {
+	return &alertStateGauges{
 		pending: reg.Gauge("dvfsd_alerts_pending",
 			"Alert (rule, series) pairs waiting out their For duration."),
 		firing: reg.Gauge("dvfsd_alerts_firing",
@@ -37,7 +37,7 @@ func newAlertGauges(reg *obs.Registry) *alertGauges {
 }
 
 // sync pushes the engine's live counts into the gauges.
-func (g *alertGauges) sync(e *alert.Engine) {
+func (g *alertStateGauges) sync(e *alert.Engine) {
 	pending, firing := e.Counts()
 	g.pending.Set(float64(pending))
 	g.firing.Set(float64(firing))

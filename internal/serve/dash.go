@@ -12,10 +12,10 @@ import (
 )
 
 // dashWindow bounds how many ring events feed the dashboard's rolling
-// views; missWindow is the trailing window for the miss-rate series.
+// views; missRateSpan is the trailing window for the miss-rate series.
 const (
-	dashWindow = 256
-	missWindow = 32
+	dashWindow   = 256
+	missRateSpan = 32
 )
 
 // handleDash serves GET /debug/dash: a self-contained operations
@@ -79,7 +79,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	p.Para(fmt.Sprintf("One point per decision; first sample %s, last sample %s (spanning %s).",
 		first.UTC().Format("15:04:05"), last.UTC().Format("15:04:05"),
 		last.Sub(first).Round(time.Second)))
-	p.Sparkline("miss rate", rollingMissRate(events, missWindow), "%.1f%%")
+	p.Sparkline("miss rate", rollingMissRate(events, missRateSpan), "%.1f%%")
 	if rs := residualSeries(events); len(rs) > 0 {
 		p.Sparkline("residual", rs, "%+.3f ms")
 	}
@@ -111,25 +111,7 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 	p.BarChart("Level occupancy", labels, occs, "%.1f%%")
 
 	if s.slo != nil {
-		p.Section(fmt.Sprintf("SLO burn (target %.2f%% miss rate)", 100*s.slo.Target()))
-		sloRows := [][]string{}
-		for _, st := range s.slo.Snapshot() {
-			alert := ""
-			if st.Alerting {
-				alert = "ALERT"
-			}
-			sloRows = append(sloRows, []string{
-				st.Workload, fmt.Sprintf("%d", st.Jobs), fmt.Sprintf("%d", st.Misses),
-				fmt.Sprintf("%.2f%%", 100*st.MissRate),
-				fmt.Sprintf("%.2f", st.FastBurn), fmt.Sprintf("%.2f", st.SlowBurn), alert,
-			})
-		}
-		if len(sloRows) > 0 {
-			p.Table([]string{"workload", "jobs", "misses", "miss rate", "fast burn", "slow burn", ""},
-				sloRows, []bool{false, true, true, true, true, true, false})
-		} else {
-			p.Para("No completed jobs observed yet.")
-		}
+		sloSection(p, "SLO burn", "workload", s.slo)
 	}
 
 	s.energySection(p)
@@ -140,24 +122,41 @@ func (s *Server) handleDash(w http.ResponseWriter, r *http.Request) {
 			p.Section("Prediction drift")
 			dRows := make([][]string, 0, len(wls))
 			for _, wl := range wls {
-				stale := "fresh"
-				if d.Stale(wl) {
-					stale = "STALE"
-				}
 				dRows = append(dRows, []string{
-					wl, stale,
+					wl,
 					fmt.Sprintf("%.1f%%", 100*d.UnderRate(wl)),
 					fmt.Sprintf("%+.3f ms", 1e3*d.Quantile(wl, 0.50)),
 					fmt.Sprintf("%+.3f ms", 1e3*d.Quantile(wl, 0.95)),
 				})
 			}
-			p.Table([]string{"workload", "model", "under-predictions", "residual p50", "residual p95"},
-				dRows, []bool{false, false, true, true, true})
+			p.Table([]string{"workload", "under-predictions", "residual p50", "residual p95"},
+				dRows, []bool{false, true, true, true})
 		}
 	}
 
 	s.historySection(p, "/debug/dash", window, dashHistoryCharts)
 	p.WriteTo(w)
+}
+
+// sloSection renders an SLO tracker's burn table. Whether a burn rate
+// is an incident is the alert engine's call, served on /debug/alerts.
+func sloSection(p *render.HTMLPage, title, keyHeader string, t *obs.SLOTracker) {
+	p.Section(fmt.Sprintf("%s (target %.2f%% miss rate)", title, 100*t.Target()))
+	snap := t.Snapshot()
+	if len(snap) == 0 {
+		p.Para("No completed jobs observed yet.")
+		return
+	}
+	rows := make([][]string, 0, len(snap))
+	for _, st := range snap {
+		rows = append(rows, []string{
+			st.Workload, fmt.Sprintf("%d", st.Jobs), fmt.Sprintf("%d", st.Misses),
+			fmt.Sprintf("%.2f%%", 100*st.MissRate),
+			fmt.Sprintf("%.2f", st.FastBurn), fmt.Sprintf("%.2f", st.SlowBurn),
+		})
+	}
+	p.Table([]string{keyHeader, "jobs", "misses", "miss rate", "fast burn", "slow burn"},
+		rows, []bool{false, true, true, true, true, true})
 }
 
 // energySection renders the online energy meter's per-stream totals —

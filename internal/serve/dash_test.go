@@ -37,7 +37,7 @@ func TestDashRenders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
-	drift := obs.NewDriftMonitor(obs.DriftConfig{Window: 32, MinSamples: 2})
+	drift := obs.NewDriftMonitor()
 	slo := obs.NewSLOTracker(obs.SLOConfig{Target: 0.01})
 	tracer := obs.NewTracer(obs.TracerOptions{RingSize: 128, Drift: drift, SLO: slo})
 	ts := httptest.NewServer(NewServer(reg, ServerOptions{

@@ -92,7 +92,7 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		if s.drift != nil && e.Done && e.Predicted {
 			// Ingested traces are the only completed predictions this
 			// daemon sees (served jobs run client-side), so they are what
-			// can flip dvfsd_model_stale. Keyed apart from any co-located
+			// can fire model_stale. Keyed apart from any co-located
 			// controller's own residual stream.
 			s.drift.Observe("fleet:"+e.Workload, e.ResidualSec)
 		}
@@ -251,25 +251,7 @@ func (s *Server) handleFleetDash(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if s.fleetSLO != nil {
-		p.Section(fmt.Sprintf("Fleet SLO burn (target %.2f%% miss rate)", 100*s.fleetSLO.Target()))
-		sloRows := [][]string{}
-		for _, st := range s.fleetSLO.Snapshot() {
-			alert := ""
-			if st.Alerting {
-				alert = "ALERT"
-			}
-			sloRows = append(sloRows, []string{
-				st.Workload, fmt.Sprintf("%d", st.Jobs), fmt.Sprintf("%d", st.Misses),
-				fmt.Sprintf("%.2f%%", 100*st.MissRate),
-				fmt.Sprintf("%.2f", st.FastBurn), fmt.Sprintf("%.2f", st.SlowBurn), alert,
-			})
-		}
-		if len(sloRows) > 0 {
-			p.Table([]string{"key", "jobs", "misses", "miss rate", "fast burn", "slow burn", ""},
-				sloRows, []bool{false, true, true, true, true, true, false})
-		} else {
-			p.Para("No completed jobs observed yet.")
-		}
+		sloSection(p, "Fleet SLO burn", "key", s.fleetSLO)
 	}
 
 	s.historySection(p, "/debug/fleet", window, fleetHistoryCharts)

@@ -182,6 +182,8 @@ func TestFleetIngestBinaryAndDash(t *testing.T) {
 		"dvfsd_fleet_ingested_events_total 1200",
 		"dvfsd_fleet_completed_jobs 1200",
 		"dvfsd_fleet_worst_score",
+		`dvfsd_slo_burn_rate{workload="fleet",window="slow"}`,
+		`dvfsd_slo_burn_rate{workload="platform:odroid-a7",window="fast"}`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

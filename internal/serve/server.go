@@ -41,7 +41,8 @@ type ServerOptions struct {
 	// ever attached; Done stays false).
 	Tracer *obs.Tracer
 	// SLO, when non-nil, is served at GET /debug/slo (per-workload
-	// deadline-miss burn-rate status).
+	// deadline-miss burn-rate status) and exported as
+	// dvfsd_slo_burn_rate.
 	SLO *obs.SLOTracker
 	// Stream, when non-nil, is served at GET /v1/events as a live SSE
 	// decision stream. The broadcaster must also be attached to the
@@ -56,8 +57,9 @@ type ServerOptions struct {
 	// the shared metrics registry.
 	Fleet *obs.FleetTracker
 	// FleetSLO, when non-nil, receives every ingested fleet event for
-	// keyed burn-rate tracking (fleet / platform:* / workload:* keys).
-	// Kept separate from SLO, which tracks this daemon's own serving.
+	// keyed burn-rate tracking (fleet / platform:* / workload:* keys),
+	// exported into the same dvfsd_slo_burn_rate family. Kept separate
+	// from SLO, which tracks this daemon's own serving.
 	FleetSLO *obs.SLOTracker
 	// MaxIngestBytes bounds /v1/fleet/ingest bodies, which are whole
 	// traces and dwarf normal API requests; 0 → 256 MiB.
@@ -79,8 +81,9 @@ type ServerOptions struct {
 	// the tracer as a sink so served decisions are metered.
 	Energy *alert.EnergyMeter
 	// Drift, when non-nil, receives completed predicted fleet events
-	// (keyed "fleet:<workload>") so ingested residuals can flip
-	// dvfsd_model_stale — the serve path itself never completes a job.
+	// (keyed "fleet:<workload>") — the serve path itself never
+	// completes a job — and its under-prediction rates are exported as
+	// dvfsd_model_under_rate.
 	Drift *obs.DriftMonitor
 	// EnableDebug mounts GET /debug/decisions (the tracer ring as
 	// JSON), GET /debug/dash (the operations dashboard), GET
@@ -114,10 +117,13 @@ type Server struct {
 	historyG *tsdbGauges
 
 	alerts  *alert.Engine
-	alertG  *alertGauges
+	alertG  *alertStateGauges
 	energy  *alert.EnergyMeter
 	energyG *energyGauges
 	drift   *obs.DriftMonitor
+
+	sloBurn   *obs.GaugeVec // nil without an SLO tracker
+	underRate *obs.GaugeVec // nil without a drift monitor
 }
 
 // NewServer wires the HTTP API around a registry.
@@ -184,10 +190,18 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 	// bare 404, when alerting is disabled.
 	s.mux.HandleFunc("GET /v1/alerts", s.guard("alerts", s.handleAlerts))
 	if opts.Alerts != nil {
-		s.alertG = newAlertGauges(s.metrics.Registry())
+		s.alertG = newAlertStateGauges(s.metrics.Registry())
 	}
 	if opts.Energy != nil {
 		s.energyG = newEnergyGauges(s.metrics.Registry())
+	}
+	if opts.SLO != nil || opts.FleetSLO != nil {
+		s.sloBurn = s.metrics.Registry().GaugeVec("dvfsd_slo_burn_rate",
+			"Deadline-miss rate over a recent window divided by the SLO target.", "workload", "window")
+	}
+	if opts.Drift != nil {
+		s.underRate = s.metrics.Registry().GaugeVec("dvfsd_model_under_rate",
+			"Fraction of a model's recent completed predictions that under-predicted; exported once 50 residuals have landed.", "workload")
 	}
 	if opts.Fleet != nil {
 		s.fleetG = newFleetGauges(s.metrics.Registry())
@@ -327,9 +341,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // SyncGauges refreshes every sync-on-read gauge (models ready, build
 // queue depth, model ages, ring drops, fleet aggregates, telemetry
-// store stats, energy meter totals, alert state). /metrics calls it per scrape; the telemetry scrape
-// loop calls it per tick so history reflects the same state the
-// exposition would.
+// store stats, energy meter totals, SLO burn rates, drift
+// under-prediction rates, alert state). /metrics calls it per scrape;
+// the telemetry scrape loop calls it per tick so history reflects the
+// same state the exposition would.
 func (s *Server) SyncGauges() {
 	s.metrics.SetModelsReady(s.reg.Ready())
 	s.metrics.SetQueueDepth(s.reg.QueueDepth())
@@ -348,6 +363,20 @@ func (s *Server) SyncGauges() {
 	}
 	if s.energy != nil && s.energyG != nil {
 		s.energyG.sync(s.energy)
+	}
+	for _, t := range []*obs.SLOTracker{s.slo, s.fleetSLO} {
+		if t == nil {
+			continue
+		}
+		for _, st := range t.Snapshot() {
+			s.sloBurn.With(st.Workload, "fast").Set(st.FastBurn)
+			s.sloBurn.With(st.Workload, "slow").Set(st.SlowBurn)
+		}
+	}
+	if s.drift != nil {
+		for wl, rate := range s.drift.UnderRates() {
+			s.underRate.With(wl).Set(rate)
+		}
 	}
 	if s.alerts != nil && s.alertG != nil {
 		s.alertG.sync(s.alerts)

@@ -126,3 +126,54 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
+
+// Window is a fixed-size ring of the most recent values with a running
+// sum: the sliding window behind the SLO burn rates, the drift
+// monitor's residuals, and the energy meter's budget burn. The sum is
+// updated as sum += v − evicted, so a window of 0/1 outcomes sums
+// exactly.
+type Window struct {
+	vals []float64
+	next int
+	n    int
+	sum  float64
+}
+
+// NewWindow returns an empty window that holds the last size values.
+func NewWindow(size int) Window {
+	return Window{vals: make([]float64, size)}
+}
+
+// Push appends v, evicting the oldest value once the window is full,
+// and returns the evicted value (0 while the window is still filling).
+func (w *Window) Push(v float64) (evicted float64) {
+	evicted = w.vals[w.next]
+	w.sum += v - evicted
+	w.vals[w.next] = v
+	w.next++
+	if w.next == len(w.vals) {
+		w.next = 0
+	}
+	if w.n < len(w.vals) {
+		w.n++
+	}
+	return evicted
+}
+
+// Len returns how many values the window holds.
+func (w *Window) Len() int { return w.n }
+
+// Sum returns the running sum of the values in the window.
+func (w *Window) Sum() float64 { return w.sum }
+
+// Mean returns Sum / Len, or 0 for an empty window.
+func (w *Window) Mean() float64 {
+	if w.n == 0 {
+		return 0
+	}
+	return w.sum / float64(w.n)
+}
+
+// Values returns the values in the window in storage order, not
+// arrival order. The slice aliases the window's storage.
+func (w *Window) Values() []float64 { return w.vals[:w.n] }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,5 +113,25 @@ func TestBoxPlotInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestWindow(t *testing.T) {
+	w := NewWindow(3)
+	if w.Len() != 0 || w.Mean() != 0 {
+		t.Fatalf("empty window: len %d, mean %g", w.Len(), w.Mean())
+	}
+	var evicted []float64
+	for _, v := range []float64{1, 2, 3, 4, 5} {
+		evicted = append(evicted, w.Push(v))
+	}
+	if want := []float64{0, 0, 0, 1, 2}; !slices.Equal(evicted, want) {
+		t.Errorf("evicted = %v, want %v", evicted, want)
+	}
+	if w.Len() != 3 || w.Sum() != 12 || w.Mean() != 4 {
+		t.Errorf("len %d, sum %g, mean %g; want 3, 12, 4", w.Len(), w.Sum(), w.Mean())
+	}
+	if got := w.Values(); !slices.Equal(got, []float64{4, 5, 3}) {
+		t.Errorf("values = %v, want [4 5 3] (storage order)", got)
 	}
 }
