@@ -120,31 +120,40 @@ fleet-smoke:
 		-workload-mix sha:3,rijndael:1 -seed 42 -progress 4
 	@echo "fleet-smoke: trace round trip, fleet replay, and $(FLEET_SMOKE_DEVICES)-device run pass"
 
-# Fleet replay speedup gate: replay one 2000-device trace with 1 and
-# 8 workers. The reports must be byte-identical (the in-order-commit
-# contract), and on n >= 2 CPUs the 8-worker replay must be at least
-# min(4, 0.6 x min(8, n)) times faster than the 1-worker one: 1.2x on
-# 2 CPUs, 2.4x on 4, 4x on 8 or more. A serialized replay measures
-# about 1x, so the floor fires on a 2-CPU runner too.
+# Fleet replay speedup gate, over one 2000-device trace. The CLI
+# reports at 1 and 8 workers must be byte-identical (the in-order-commit
+# contract). The speedup is timed in process by BenchmarkFleetSpeedup:
+# the median RunFleet wall time at 1 and 8 workers over alternating
+# rounds, without process start or the serial trace decode, which
+# dominate a whole CLI run now that the switch table is calibrated
+# once. On n >= 2 CPUs the 8-worker replay must be at least
+# min(4, 0.6 x min(8, n)) times faster: 1.2x on 2 CPUs, 2.4x on 4, 4x on
+# 8 or more. A serialized pool measures about 1x, so the floor fires on
+# a 2-CPU runner too.
 fleet-speedup:
 	go build -o bin/dvfsfleet ./cmd/dvfsfleet
 	go build -o bin/dvfsreplay ./cmd/dvfsreplay
 	./bin/dvfsfleet -devices 2000 -platforms a7,x86 -workload-mix sha:3,rijndael:1 \
 		-jobs 10 -seed 42 -progress 0 -out /tmp/fleet-speedup.bin > /dev/null
-	@t0=$$(date +%s%N); \
-	./bin/dvfsreplay -input /tmp/fleet-speedup.bin -workers 1 > /tmp/fleet-speedup-w1.txt || exit 1; \
-	t1=$$(date +%s%N); \
-	./bin/dvfsreplay -input /tmp/fleet-speedup.bin -workers 8 > /tmp/fleet-speedup-w8.txt || exit 1; \
-	t2=$$(date +%s%N); \
-	cmp /tmp/fleet-speedup-w1.txt /tmp/fleet-speedup-w8.txt \
-		|| { echo "fleet-speedup: replay reports differ across worker counts"; exit 1; }; \
-	awk -v w1=$$((t1 - t0)) -v w8=$$((t2 - t1)) -v cpus=$$(nproc) 'BEGIN { \
-		speedup = w1 / w8; floor = 0.6 * (cpus < 8 ? cpus : 8); if (floor > 4) floor = 4; \
-		printf "fleet-speedup: replay w1 %.2fs, w8 %.2fs (%.2fx on %d CPUs), reports byte-identical\n", \
-			w1 / 1e9, w8 / 1e9, speedup, cpus; \
-		if (cpus >= 2 && speedup < floor) { \
-			printf "fleet-speedup: %.2fx below the %.1fx floor for %d CPUs\n", speedup, floor, cpus; exit 1 \
-		} }'
+	./bin/dvfsreplay -input /tmp/fleet-speedup.bin -workers 1 > /tmp/fleet-speedup-w1.txt
+	./bin/dvfsreplay -input /tmp/fleet-speedup.bin -workers 8 > /tmp/fleet-speedup-w8.txt
+	@cmp /tmp/fleet-speedup-w1.txt /tmp/fleet-speedup-w8.txt \
+		|| { echo "fleet-speedup: replay reports differ across worker counts"; exit 1; }
+	go test -count=1 -run '^$$' -bench '^BenchmarkFleetSpeedup$$' -benchtime 1x ./internal/replay \
+		| tee /tmp/fleet-speedup-bench.out
+	@awk -v cpus=$$(nproc) ' \
+		/^BenchmarkFleetSpeedup/ { for (i = 3; i < NF; i++) { \
+			if ($$(i + 1) == "w1-ms") w1 = $$i; \
+			if ($$(i + 1) == "w8-ms") w8 = $$i; \
+			if ($$(i + 1) == "speedup") speedup = $$i } } \
+		END { \
+			if (speedup == 0) { print "fleet-speedup: missing benchmark output"; exit 1 } \
+			floor = 0.6 * (cpus < 8 ? cpus : 8); if (floor > 4) floor = 4; \
+			printf "fleet-speedup: RunFleet w1 %.1f ms, w8 %.1f ms (%.2fx on %d CPUs), reports byte-identical\n", \
+				w1, w8, speedup, cpus; \
+			if (cpus >= 2 && speedup < floor) { \
+				printf "fleet-speedup: %.2fx below the %.1fx floor for %d CPUs\n", speedup, floor, cpus; exit 1 \
+			} }' /tmp/fleet-speedup-bench.out
 
 # Fleet-observability smoke: simulate a fleet with inline health
 # scoring, roll the trace up offline with dvfstrace -by-device, prove

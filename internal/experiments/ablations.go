@@ -19,10 +19,7 @@ type MarginPoint struct {
 	MissPct   float64
 }
 
-// RunAblationMargin sweeps the safety margin for ldecode. The paper
-// (§3.4): "A higher margin can decrease deadline misses while a lower
-// margin can improve the energy savings."
-func (s *Suite) RunAblationMargin() ([]MarginPoint, error) {
+func (s *Suite) runAblationMargin() ([]MarginPoint, error) {
 	w := workload.LDecode()
 	perf, err := s.runOne("performance", w, sim.Config{})
 	if err != nil {
@@ -64,9 +61,7 @@ type SwitchTableResult struct {
 	MissPct   float64
 }
 
-// RunAblationSwitchTable evaluates ldecode with the selector fed mean
-// switch times instead of the paper's 95th percentile.
-func (s *Suite) RunAblationSwitchTable() ([]SwitchTableResult, error) {
+func (s *Suite) runAblationSwitchTable() ([]SwitchTableResult, error) {
 	w := workload.LDecode()
 	perf, err := s.runOne("performance", w, sim.Config{})
 	if err != nil {
@@ -111,9 +106,7 @@ type SliceAblationRow struct {
 	LassoPredMS, FullPredMS float64
 }
 
-// RunAblationSlice measures what Lasso feature selection buys in
-// predictor overhead across all benchmarks.
-func (s *Suite) RunAblationSlice() ([]SliceAblationRow, error) {
+func (s *Suite) runAblationSlice() ([]SliceAblationRow, error) {
 	var rows []SliceAblationRow
 	for _, w := range workload.All() {
 		lasso, err := s.Controller(w)

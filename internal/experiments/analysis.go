@@ -19,10 +19,7 @@ type Fig19Row struct {
 	NumOut    int
 }
 
-// RunFig19 collects prediction errors for the seven millisecond-scale
-// benchmarks (the paper reports pocketsphinx's second-scale errors in
-// text, not in the plot; RunFig19Pocketsphinx covers it).
-func (s *Suite) RunFig19() ([]Fig19Row, error) {
+func (s *Suite) runFig19() ([]Fig19Row, error) {
 	var rows []Fig19Row
 	for _, w := range workload.All() {
 		if w.Name == "pocketsphinx" {
@@ -37,9 +34,7 @@ func (s *Suite) RunFig19() ([]Fig19Row, error) {
 	return rows, nil
 }
 
-// RunFig19Pocketsphinx returns the speech recognizer's error summary,
-// reported separately in the paper's text (§5.3).
-func (s *Suite) RunFig19Pocketsphinx() (*Fig19Row, error) {
+func (s *Suite) runFig19Pocketsphinx() (*Fig19Row, error) {
 	return s.fig19Row(workload.PocketSphinx())
 }
 
@@ -72,9 +67,7 @@ type Fig20Point struct {
 	MissPct   float64
 }
 
-// RunFig20 sweeps the under-prediction penalty weight α for ldecode,
-// retraining the controller at each setting.
-func (s *Suite) RunFig20() ([]Fig20Point, error) {
+func (s *Suite) runFig20() ([]Fig20Point, error) {
 	w := workload.LDecode()
 	perf, err := s.runOne("performance", w, sim.Config{})
 	if err != nil {
@@ -114,8 +107,7 @@ type Fig21Row struct {
 	IdleEnergyPct map[string]float64
 }
 
-// RunFig21 measures the idling study.
-func (s *Suite) RunFig21() ([]Fig21Row, error) {
+func (s *Suite) runFig21() ([]Fig21Row, error) {
 	var rows []Fig21Row
 	for _, w := range workload.All() {
 		row := Fig21Row{
@@ -168,9 +160,7 @@ type XPlatRow struct {
 	Jaccard float64
 }
 
-// RunXPlat retrains every benchmark's models on the x86 platform model
-// and compares selected feature sets with the ARM ones.
-func (s *Suite) RunXPlat() ([]XPlatRow, error) {
+func (s *Suite) runXPlat() ([]XPlatRow, error) {
 	x86 := newX86Suite(s.Seed)
 	var rows []XPlatRow
 	for _, w := range workload.All() {

@@ -17,9 +17,7 @@ type Fig15Row struct {
 	MissPct   map[string]float64
 }
 
-// RunFig15 evaluates all benchmarks under all four governors at the
-// paper's budgets (50 ms; 4 s for pocketsphinx).
-func (s *Suite) RunFig15() ([]Fig15Row, error) {
+func (s *Suite) runFig15() ([]Fig15Row, error) {
 	var rows []Fig15Row
 	for _, w := range workload.All() {
 		row, err := s.fig15Row(w, sim.Config{})
@@ -82,9 +80,7 @@ type Fig16Sweep struct {
 	MissPct   map[string][]float64
 }
 
-// RunFig16 sweeps the time budget from 0.6 to 1.4 of the maximum job
-// time for each benchmark.
-func (s *Suite) RunFig16(w *workload.Workload) (*Fig16Sweep, error) {
+func (s *Suite) runFig16(w *workload.Workload) (*Fig16Sweep, error) {
 	maxT, err := s.maxJobTimeAtFmax(w)
 	if err != nil {
 		return nil, err
@@ -133,8 +129,7 @@ type Fig17Row struct {
 	PredictorMS, DVFSMS float64
 }
 
-// RunFig17 measures average predictor and switch times per benchmark.
-func (s *Suite) RunFig17() ([]Fig17Row, error) {
+func (s *Suite) runFig17() ([]Fig17Row, error) {
 	var rows []Fig17Row
 	var sumP, sumD float64
 	for _, w := range workload.All() {
@@ -166,8 +161,7 @@ type Fig18Row struct {
 	PredictionPct, NoDVFSPct, NoPredDVFSPct, OraclePct float64
 }
 
-// RunFig18 measures the overhead-removal ladder.
-func (s *Suite) RunFig18() ([]Fig18Row, error) {
+func (s *Suite) runFig18() ([]Fig18Row, error) {
 	var rows []Fig18Row
 	for _, w := range workload.All() {
 		perf, err := s.runOne("performance", w, sim.Config{})

@@ -8,8 +8,14 @@ import (
 	"repro/internal/workload"
 )
 
-// One shared suite: controllers train once, experiments reuse them.
-var testSuite = NewSuite(1)
+// One shared suite: controllers train once, and every experiment runs
+// once for the shape tests and the reproduction golden together.
+var testSuite = keepResults(NewSuite(1))
+
+func keepResults(s *Suite) *Suite {
+	s.results = map[string]any{}
+	return s
+}
 
 func TestTable2MatchesPaperShape(t *testing.T) {
 	rows, err := testSuite.RunTable2()

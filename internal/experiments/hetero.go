@@ -27,11 +27,7 @@ type HeteroPoint struct {
 	A15Share float64
 }
 
-// RunHetero exercises §3.5's heterogeneous-cores extension on ldecode:
-// below normalized budget 1.0 the A7 cannot make every deadline at any
-// frequency, while the big.LITTLE operating-point grid lets the same
-// unchanged prediction logic migrate heavy frames to the A15.
-func (s *Suite) RunHetero() ([]HeteroPoint, error) {
+func (s *Suite) runHetero() ([]HeteroPoint, error) {
 	w := workload.LDecode()
 	maxT, err := s.maxJobTimeAtFmax(w)
 	if err != nil {

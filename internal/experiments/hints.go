@@ -20,11 +20,7 @@ type HintsRow struct {
 	BaseMAEms, HintMAEms float64
 }
 
-// RunHints evaluates hint features on the three benchmarks whose
-// execution time has a component no control-flow feature can see
-// (ldecode's residual coefficients, pocketsphinx's spectral energy,
-// rijndael's plaintext structure).
-func (s *Suite) RunHints() ([]HintsRow, error) {
+func (s *Suite) runHints() ([]HintsRow, error) {
 	var rows []HintsRow
 	for _, name := range []string{"ldecode", "pocketsphinx", "rijndael"} {
 		w, err := workload.ByName(name)
@@ -98,8 +94,7 @@ type OverheadCapPoint struct {
 	MissPct   float64
 }
 
-// RunOverheadCap sweeps the predictor-time cap for pocketsphinx.
-func (s *Suite) RunOverheadCap() ([]OverheadCapPoint, error) {
+func (s *Suite) runOverheadCap() ([]OverheadCapPoint, error) {
 	w, err := workload.ByName("pocketsphinx")
 	if err != nil {
 		return nil, err
@@ -145,10 +140,7 @@ type QuadraticRow struct {
 	LinearMissPct, QuadMissPct     float64
 }
 
-// RunQuadratic evaluates quadratic feature expansion on three
-// benchmarks spanning linear (sha), mildly nonlinear (ldecode), and
-// dispatch-driven (uzbl) time structure.
-func (s *Suite) RunQuadratic() ([]QuadraticRow, error) {
+func (s *Suite) runQuadratic() ([]QuadraticRow, error) {
 	var rows []QuadraticRow
 	for _, name := range []string{"sha", "ldecode", "uzbl"} {
 		w, err := workload.ByName(name)

@@ -16,9 +16,7 @@ type Table2Row struct {
 	PaperMin, PaperAvg, PaperMax float64
 }
 
-// RunTable2 measures min/avg/max job times at maximum frequency for
-// every benchmark (Table 2).
-func (s *Suite) RunTable2() ([]Table2Row, error) {
+func (s *Suite) runTable2() ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, w := range workload.All() {
 		r, err := s.runOne("performance", w, sim.Config{})
@@ -42,8 +40,7 @@ type Fig2Series struct {
 	TimeMS   []float64
 }
 
-// RunFig2 captures ldecode's per-frame time series.
-func (s *Suite) RunFig2(jobs int) (*Fig2Series, error) {
+func (s *Suite) runFig2(jobs int) (*Fig2Series, error) {
 	w := workload.LDecode()
 	r, err := s.runOne("performance", w, sim.Config{Jobs: jobs})
 	if err != nil {
@@ -69,10 +66,7 @@ type Fig3Series struct {
 	LagCorrelation float64
 }
 
-// RunFig3 reproduces the paper's setup: job execution times at
-// maximum frequency, against the execution time a PID predictor
-// expects for each job from the history of the previous ones.
-func (s *Suite) RunFig3(jobs int) (*Fig3Series, error) {
+func (s *Suite) runFig3(jobs int) (*Fig3Series, error) {
 	w := workload.LDecode()
 	r, err := s.runOne("performance", w, sim.Config{Jobs: jobs})
 	if err != nil {
@@ -125,9 +119,7 @@ type Fig9Point struct {
 	AvgMS     float64
 }
 
-// RunFig9 measures ldecode's average job time at every DVFS level,
-// verifying the linear t–1/f relationship the DVFS model assumes.
-func (s *Suite) RunFig9() ([]Fig9Point, error) {
+func (s *Suite) runFig9() ([]Fig9Point, error) {
 	w := workload.LDecode()
 	var pts []Fig9Point
 	for idx := range s.Plat.Levels {
@@ -184,9 +176,7 @@ type StaticRow struct {
 	MissPct   float64
 }
 
-// RunStatic evaluates average-sized and worst-case-sized static levels
-// against the per-job predictive controller.
-func (s *Suite) RunStatic() ([]StaticRow, error) {
+func (s *Suite) runStatic() ([]StaticRow, error) {
 	w := workload.LDecode()
 	perf, err := s.runOne("performance", w, sim.Config{})
 	if err != nil {
@@ -247,16 +237,7 @@ type A15Row struct {
 	MissPct   float64
 }
 
-// RunA15Trends evaluates the paper's four governors on the A15 cluster
-// for ldecode at two budgets. At the paper's 50 ms even the cluster's
-// lowest operating point meets every frame, so all deadline-aware
-// governors saturate there and the trends transfer trivially
-// (prediction best or tied, no misses). A tight 20 ms budget stresses
-// the cluster's range and shows the conservatism trade on the big
-// core's steep V² curve: prediction alone stays miss-free, paying for
-// it with margin headroom, while the reactive PID undercuts it by
-// missing deadlines.
-func (s *Suite) RunA15Trends() ([]A15Row, error) {
+func (s *Suite) runA15Trends() ([]A15Row, error) {
 	a15 := NewSuiteOn(platform.ODROIDXU3A15(), s.Seed)
 	w := workload.LDecode()
 	var rows []A15Row

@@ -19,8 +19,7 @@ type MultiTaskRow struct {
 	MissPct []float64
 }
 
-// RunMultiTask measures the two-task scenario.
-func (s *Suite) RunMultiTask() ([]MultiTaskRow, error) {
+func (s *Suite) runMultiTask() ([]MultiTaskRow, error) {
 	ld := workload.LDecode()
 	xp := workload.XPilot()
 	mkTasks := func(govLD, govXP governor.Governor) []sim.TaskSpec {
@@ -92,9 +91,7 @@ var AllGovernors = []string{
 	"movingavg", "pid", "prediction",
 }
 
-// RunBaselines evaluates every governor on one benchmark at the paper
-// budget, normalized to the performance governor.
-func (s *Suite) RunBaselines(name string) ([]BaselineRow, error) {
+func (s *Suite) runBaselines(name string) ([]BaselineRow, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
 		return nil, err

@@ -31,11 +31,7 @@ type PlacementRow struct {
 	MissPct    map[string]float64
 }
 
-// RunPlacement evaluates sequential vs. pipelined vs. parallel
-// predictor execution. Workloads whose inputs are not known one job
-// ahead (interactive input) cannot pipeline — the simulator falls back
-// to sequential for them, as the paper prescribes.
-func (s *Suite) RunPlacement() ([]PlacementRow, error) {
+func (s *Suite) runPlacement() ([]PlacementRow, error) {
 	var rows []PlacementRow
 	for _, w := range workload.All() {
 		maxT, err := s.maxJobTimeAtFmax(w)
@@ -77,11 +73,7 @@ type BatchPoint struct {
 	MissPct   float64
 }
 
-// RunBatch evaluates batched prediction (decide every K jobs) for 2048
-// at its tightest budget — the regime where the paper notes predictor
-// and switch overheads outweigh the savings (§5.2: "normalized energy
-// usage over 100%"; §7: amortize by predicting several jobs at once).
-func (s *Suite) RunBatch() ([]BatchPoint, error) {
+func (s *Suite) runBatch() ([]BatchPoint, error) {
 	w, err := workload.ByName("2048")
 	if err != nil {
 		return nil, err

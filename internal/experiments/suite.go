@@ -27,6 +27,8 @@ type Suite struct {
 	Seed int64
 
 	controllers map[string]*core.Controller
+	// results keeps experiment results by key when non-nil (see memo).
+	results map[string]any
 }
 
 // NewSuite builds a suite around the ODROID-XU3 A7 model.

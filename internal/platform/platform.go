@@ -266,17 +266,26 @@ func (p *Platform) JobTimeAt(cpuWork, memSec float64, l Level) float64 {
 	return memSec*p.MemScale + cpuWork*p.CPIScale/l.EffFreqHz()
 }
 
-// SampleSwitchLatency draws one DVFS transition latency. Same-level
+// SwitchLatency is the one DVFS transition-latency formula, given the
+// transition's standard-normal jitter deviate z. Same-level
 // transitions are free; others pay a base cost plus a voltage-delta
-// term, with multiplicative lognormal jitter (regulator settling is
-// heavy-tailed, which is why the paper uses the 95th percentile).
+// term, with multiplicative lognormal jitter exp(σ·z) (regulator
+// settling is heavy-tailed, which is why the paper uses the 95th
+// percentile).
+func (p *Platform) SwitchLatency(from, to Level, z float64) float64 {
+	if from.Index == to.Index {
+		return 0
+	}
+	return p.switchMean(from, to) * math.Exp(p.SwitchJitterSigma*z)
+}
+
+// SampleSwitchLatency draws one DVFS transition latency from rng. A
+// same-level transition is free and draws nothing.
 func (p *Platform) SampleSwitchLatency(from, to Level, rng *rand.Rand) float64 {
 	if from.Index == to.Index {
 		return 0
 	}
-	mean := p.switchMean(from, to)
-	jitter := math.Exp(p.SwitchJitterSigma * rng.NormFloat64())
-	return mean * jitter
+	return p.SwitchLatency(from, to, rng.NormFloat64())
 }
 
 // switchMean is the deterministic part of a transition's latency.

@@ -191,12 +191,13 @@ func TestMeanSwitchTable(t *testing.T) {
 }
 
 func TestSwitchTableDeterministic(t *testing.T) {
+	// Two uncached measurements: the memo would hand back one table.
 	p := ODROIDXU3A7()
-	a := MeasureSwitchTable(p, 100, 0.95, 5)
-	b := MeasureSwitchTable(p, 100, 0.95, 5)
-	for i := range a.Seconds {
-		for j := range a.Seconds[i] {
-			if a.Seconds[i][j] != b.Seconds[i][j] {
+	a := measureSwitchTable(p, 100, 0.95, 5)
+	b := measureSwitchTable(p, 100, 0.95, 5)
+	for i := range a.seconds {
+		for j := range a.seconds[i] {
+			if a.seconds[i][j] != b.seconds[i][j] {
 				t.Fatalf("same seed gave different tables at (%d,%d)", i, j)
 			}
 		}

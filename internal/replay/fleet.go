@@ -143,18 +143,34 @@ func RunFleet(events []obs.DecisionEvent, opts FleetOptions) (*FleetReplayResult
 		margins = Options{}.withDefaults().Margins
 	}
 
-	byDevice := map[string][]obs.DecisionEvent{}
+	// Partition by device in two passes, count then place, into one
+	// backing array: this stage runs before the pool starts, so it is
+	// serial time at any worker count.
+	counts := map[string]int{}
 	var ids []string
-	for _, e := range events {
+	for i := range events {
+		e := &events[i]
 		if e.Device == "" {
 			return nil, fmt.Errorf("replay: event seq %d has no device ID; not a fleet trace (replay it single-device instead)", e.Seq)
 		}
-		if _, ok := byDevice[e.Device]; !ok {
+		if _, ok := counts[e.Device]; !ok {
 			ids = append(ids, e.Device)
 		}
-		byDevice[e.Device] = append(byDevice[e.Device], e)
+		counts[e.Device]++
 	}
 	sort.Strings(ids)
+	byDevice := make(map[string][]obs.DecisionEvent, len(ids))
+	backing := make([]obs.DecisionEvent, len(events))
+	off := 0
+	for _, id := range ids {
+		n := counts[id]
+		byDevice[id] = backing[off : off : off+n]
+		off += n
+	}
+	for i := range events {
+		d := events[i].Device
+		byDevice[d] = append(byDevice[d], events[i])
+	}
 
 	plats := map[string]*platform.Platform{}
 	resolve := func(name string) (*platform.Platform, error) {

@@ -30,13 +30,13 @@ type policy struct {
 // the release, pay the predictor at the pre-switch level, pay the
 // transition, execute at the target, and finally drain to the
 // horizon. Execution times come from each job's cross-level
-// translation, switch latencies from the platform's jitter model
-// under a fixed seed.
-func runPolicy(g *group, p policy, plat *platform.Platform, power *platform.PowerTable, seed int64) Outcome {
+// translation, switch latencies from the platform's jitter model:
+// the k-th switch pays the group's k-th jitter deviate z[k].
+func runPolicy(g *group, p policy, plat *platform.Platform, power *platform.PowerTable, z []float64) Outcome {
 	led := platform.NewLedger(power)
 	levels := map[int]int{}
 	misses := 0
-	rng := rand.New(rand.NewSource(seed))
+	switches := 0
 
 	cur := plat.MaxLevel()
 	for _, j := range g.jobs {
@@ -48,7 +48,8 @@ func runPolicy(g *group, p policy, plat *platform.Platform, power *platform.Powe
 		target, predSec := p.decide(j, cur, led.Now())
 		var lat float64
 		if target.Index != cur.Index && !p.free {
-			lat = plat.SampleSwitchLatency(cur, target, rng)
+			lat = plat.SwitchLatency(cur, target, z[switches])
+			switches++
 		}
 		exec := j.timeAt(target, obsLevel, g.rho)
 		led.Run(cur.Index, target.Index, predSec, lat, exec)
@@ -152,11 +153,27 @@ func oraclePolicy(g *group, plat *platform.Platform) policy {
 	}
 }
 
+// jitterStream draws the n standard-normal deviates every
+// counterfactual timeline of a group shares. A group has n jobs, so no
+// policy switches more than n times, and the k-th switch of each
+// policy pays z[k]: the deviate its own rand source seeded with seed
+// would have drawn, at one seeding per group instead of one per
+// policy.
+func jitterStream(seed int64, n int) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	z := make([]float64, n)
+	for i := range z {
+		z[i] = rng.NormFloat64()
+	}
+	return z
+}
+
 // analyzeGroup reconstructs the trace and runs every counterfactual.
 func analyzeGroup(g *group, opts Options) GroupResult {
 	plat := opts.Plat
 	table := platform.MeasureSwitchTable(plat, 500, 0.95, opts.Seed+2000)
 	power := platform.NewPowerTable(plat)
+	z := jitterStream(opts.Seed, len(g.jobs))
 
 	gr := GroupResult{
 		Workload:  g.workload,
@@ -209,7 +226,7 @@ func analyzeGroup(g *group, opts Options) GroupResult {
 	outs := make([]Outcome, len(policies))
 	var perf float64
 	for i, p := range policies {
-		outs[i] = runPolicy(g, p, plat, power, opts.Seed)
+		outs[i] = runPolicy(g, p, plat, power, z)
 		if p.name == "performance" {
 			perf = outs[i].EnergyJ
 		}
@@ -228,7 +245,7 @@ func analyzeGroup(g *group, opts Options) GroupResult {
 
 	if gr.Predicted > 0 {
 		for _, m := range opts.Margins {
-			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, power, opts.Seed)
+			o := runPolicy(g, predictionPolicy("margin", g, plat, table, m, 0), plat, power, z)
 			gr.MarginSweep = append(gr.MarginSweep, sweepPoint(m, o, perf))
 		}
 		var residuals []float64
@@ -244,7 +261,7 @@ func analyzeGroup(g *group, opts Options) GroupResult {
 			if !math.IsNaN(base) {
 				shift = stats.QuantileSorted(residuals, a/(1+a)) - base
 			}
-			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, power, opts.Seed)
+			o := runPolicy(g, predictionPolicy("alpha", g, plat, table, -1, shift), plat, power, z)
 			gr.AlphaSweep = append(gr.AlphaSweep, sweepPoint(a, o, perf))
 		}
 	}

@@ -57,6 +57,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -726,8 +727,22 @@ func (d *blockDecoder) event() (obs.DecisionEvent, error) {
 	return e, nil
 }
 
+// minEventBytes is the smallest encoding of an event: flags,
+// presence and the seq delta, plus four string back-references, one
+// byte each.
+const minEventBytes = 7
+
+// eventsFit bounds a block's claimed event count by how many events
+// payloadBytes can encode, so a hostile count reserves no more memory
+// than decoding real events would.
+func eventsFit(count uint64, payloadBytes int) int {
+	return int(min(count, uint64(payloadBytes/minEventBytes)))
+}
+
 // decodePayload decodes a full block payload, invoking fn per event.
-func decodePayload(payload []byte, fn func(*obs.DecisionEvent) error) error {
+// reserve, when non-nil, first learns how many events the block can
+// hold, so a collecting caller grows its slice once per block.
+func decodePayload(payload []byte, reserve func(n int), fn func(*obs.DecisionEvent) error) error {
 	d := &blockDecoder{data: payload}
 	count, err := d.uvarint()
 	if err != nil {
@@ -735,6 +750,9 @@ func decodePayload(payload []byte, fn func(*obs.DecisionEvent) error) error {
 	}
 	if count > uint64(len(payload)) {
 		return fmt.Errorf("trace: block claims %d events in %d payload bytes", count, len(payload))
+	}
+	if reserve != nil {
+		reserve(eventsFit(count, len(payload)-d.pos))
 	}
 	for i := uint64(0); i < count; i++ {
 		e, err := d.event()
@@ -762,6 +780,11 @@ func IsBinaryTrace(prefix []byte) bool {
 // but not consumed into memory. A truncated or corrupt file is an
 // error — analysis tools must not silently drop data.
 func ScanBinary(r io.Reader, fn func(*obs.DecisionEvent) error) error {
+	return scanBinary(r, nil, fn)
+}
+
+// scanBinary is ScanBinary with decodePayload's per-block reserve hook.
+func scanBinary(r io.Reader, reserve func(n int), fn func(*obs.DecisionEvent) error) error {
 	br := bufio.NewReaderSize(r, 64*1024)
 	head := make([]byte, len(binMagic))
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -792,7 +815,7 @@ func ScanBinary(r io.Reader, fn func(*obs.DecisionEvent) error) error {
 			if _, err := io.ReadFull(br, payload); err != nil {
 				return fmt.Errorf("trace: block payload: %w", err)
 			}
-			if err := decodePayload(payload, fn); err != nil {
+			if err := decodePayload(payload, reserve, fn); err != nil {
 				return err
 			}
 		case tagIndex:
@@ -815,7 +838,7 @@ func ScanBinary(r io.Reader, fn func(*obs.DecisionEvent) error) error {
 // ReadBinary decodes a whole binary trace into memory.
 func ReadBinary(r io.Reader) ([]obs.DecisionEvent, error) {
 	var out []obs.DecisionEvent
-	err := ScanBinary(r, func(e *obs.DecisionEvent) error {
+	err := scanBinary(r, func(n int) { out = slices.Grow(out, n) }, func(e *obs.DecisionEvent) error {
 		out = append(out, *e)
 		return nil
 	})
@@ -936,8 +959,8 @@ func ReadBlockAt(ra io.ReaderAt, blk BlockInfo) ([]obs.DecisionEvent, error) {
 	if _, err := ra.ReadAt(payload, blk.Offset+1+int64(consumed)); err != nil {
 		return nil, fmt.Errorf("trace: block payload at %d: %w", blk.Offset, err)
 	}
-	out := make([]obs.DecisionEvent, 0, blk.Count)
-	err = decodePayload(payload, func(e *obs.DecisionEvent) error {
+	out := make([]obs.DecisionEvent, 0, eventsFit(uint64(max(blk.Count, 0)), len(payload)))
+	err = decodePayload(payload, nil, func(e *obs.DecisionEvent) error {
 		out = append(out, *e)
 		return nil
 	})

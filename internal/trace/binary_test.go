@@ -313,6 +313,34 @@ func TestBinaryIndexSeek(t *testing.T) {
 	requireBitEqual(t, last, events[len(events)-len(last):])
 }
 
+// A block's claimed event count only reserves what its payload could
+// encode: a hostile count in a block header or an index entry cannot
+// size an allocation beyond that.
+func TestBinaryHostileCountsBounded(t *testing.T) {
+	if got := eventsFit(math.MaxUint64, 10*minEventBytes+3); got != 10 {
+		t.Errorf("eventsFit(max, 73 bytes) = %d, want 10", got)
+	}
+	if got := eventsFit(3, 1000); got != 3 {
+		t.Errorf("eventsFit(3, 1000 bytes) = %d, want 3", got)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, mkEvents(50)); err != nil {
+		t.Fatal(err)
+	}
+	ra := bytes.NewReader(buf.Bytes())
+	blocks, err := ReadIndex(ra, int64(buf.Len()))
+	if err != nil || len(blocks) != 1 {
+		t.Fatalf("index: %v, %d blocks", err, len(blocks))
+	}
+	for _, count := range []int{math.MaxInt, -1} {
+		blk := blocks[0]
+		blk.Count = count
+		if _, err := ReadBlockAt(ra, blk); err == nil {
+			t.Errorf("index count %d: ReadBlockAt accepted the block", count)
+		}
+	}
+}
+
 func TestBinaryCorruptionDetected(t *testing.T) {
 	events := mkEvents(100)
 	var buf bytes.Buffer
