@@ -1,7 +1,7 @@
 # Local mirror of .github/workflows/ci.yml: `make check` runs the
 # exact gate CI enforces.
 
-.PHONY: check fmt vet build test lint alloc-gate bench serve-smoke obs-bench trace-smoke replay-smoke dash-smoke fleet-smoke fleet-speedup fleet-obs-smoke tsdb-smoke alert-smoke
+.PHONY: check fmt vet build test lint alloc-gate fuzz-smoke bench serve-smoke obs-bench trace-smoke replay-smoke dash-smoke fleet-smoke fleet-speedup fleet-obs-smoke tsdb-smoke alert-smoke
 
 check: fmt vet build test lint alloc-gate
 
@@ -20,19 +20,27 @@ vet:
 
 # Zero-alloc and latency gates that must run without -race: the
 # runtime half of the hotpathalloc guarantee (AllocsPerRun == 0 on the
-# core decision path, prediction-slice evaluation, span capture, the feature hash, the binary trace
+# core decision path (the prediction alone and the whole untraced
+# JobStart), prediction-slice evaluation, span capture, the feature hash, the binary trace
 # encoder, tsdb append, and the energy ledger and meter) plus the tsdb
 # 1h/1s range-query latency bound. The detector's instrumentation
 # allocates and slows everything, so these tests skip themselves
 # under it.
 alloc-gate:
-	go test -count=1 -run 'TestPredictTraceZeroAlloc' ./internal/core
+	go test -count=1 -run 'TestPredictTraceZeroAlloc|TestJobStartZeroAlloc' ./internal/core
 	go test -count=1 -run 'TestSliceRunAllocs' ./internal/slicer
 	go test -count=1 -run 'TestSpanCaptureZeroAlloc|TestFeatureHashZeroAlloc|TestSketchAddZeroAlloc|TestHeavyHittersZeroAlloc' ./internal/obs
 	go test -count=1 -run 'TestBinaryEncodeZeroAlloc' ./internal/trace
 	go test -count=1 -run 'TestAppendZeroAlloc|TestEncoderZeroAlloc|TestRangeQueryLatency' ./internal/tsdb
 	go test -count=1 -run 'TestEnergyMeterZeroAlloc' ./internal/alert
 	go test -count=1 -run 'TestLedgerZeroAlloc' ./internal/platform
+
+# Short fuzzing runs of the compiled engine against the reference
+# interpreter and of the feature-trace wire decoder. FuzzBinaryDecode
+# is left out: its instrumented run stalls within seconds on 2 CPUs.
+fuzz-smoke:
+	go test -run '^$$' -fuzz '^FuzzCompiledMatchesReference$$' -fuzztime 10s -parallel 1 ./internal/taskir
+	go test -run '^$$' -fuzz '^FuzzWireTrace$$' -fuzztime 10s -parallel 1 ./internal/features
 
 build:
 	go build ./...

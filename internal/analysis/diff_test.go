@@ -69,13 +69,13 @@ func TestDifferentialFullVsSliceFuzz(t *testing.T) {
 
 			// Every FID the report claims must agree with the full run.
 			for _, fid := range rep.NeededFIDs {
-				if sliceTr.Counts[fid] != fullTr.Counts[fid] {
+				if sliceTr.Count(fid) != fullTr.Count(fid) {
 					t.Fatalf("trial %d run %d: FID %d count %d, full %d\n%s",
-						trial, run, fid, sliceTr.Counts[fid], fullTr.Counts[fid], taskir.Format(sl.Prog))
+						trial, run, fid, sliceTr.Count(fid), fullTr.Count(fid), taskir.Format(sl.Prog))
 				}
-				if !reflect.DeepEqual(sliceTr.CallAddrs[fid], fullTr.CallAddrs[fid]) {
+				if !reflect.DeepEqual(sliceTr.CallAddrs()[fid], fullTr.CallAddrs()[fid]) {
 					t.Fatalf("trial %d run %d: FID %d addrs %v, full %v",
-						trial, run, fid, sliceTr.CallAddrs[fid], fullTr.CallAddrs[fid])
+						trial, run, fid, sliceTr.CallAddrs()[fid], fullTr.CallAddrs()[fid])
 				}
 			}
 
@@ -137,8 +137,8 @@ func TestSliceOfGlobalWritingProgramIsolated(t *testing.T) {
 			loopFID = s.FID
 		}
 	}
-	if tr.Counts[loopFID] != 7 {
-		t.Fatalf("loop feature = %d, want 7 (3+4)", tr.Counts[loopFID])
+	if tr.Count(loopFID) != 7 {
+		t.Fatalf("loop feature = %d, want 7 (3+4)", tr.Count(loopFID))
 	}
 }
 

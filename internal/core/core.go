@@ -652,14 +652,20 @@ func (c *Controller) decisionEvent(job *governor.Job, cur platform.Level, p Pred
 	}
 }
 
+// tracePool holds the per-decision feature traces JobStart records
+// into; a reused trace keeps its storage, so a decision allocates
+// nothing.
+var tracePool = sync.Pool{New: func() any { return features.NewTrace() }}
+
 // JobStart implements governor.Governor: run the prediction slice,
 // predict execution times at fmin/fmax, and pick the lowest frequency
 // whose (margin-inflated) predicted time fits the effective budget.
 //
 // JobStart is safe for concurrent use as long as callers do not mutate
 // job.Globals or job.Params during the call: the slice runs in a
-// frozen environment (globals are read, never written), the trace is
-// per-call, and PredictTrace reads only immutable trained state.
+// frozen environment (globals are read, never written), each call
+// borrows its own trace, and PredictTrace reads only immutable trained
+// state.
 func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.Decision {
 	// Span capture (tracing only): the ledger roots at "decide" and
 	// times slice evaluation, model prediction, and level selection —
@@ -671,9 +677,11 @@ func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.De
 		st.Start(obs.PhaseDecide)
 		st.Start(obs.PhaseSliceEval)
 	}
-	tr := features.NewTrace()
+	tr := tracePool.Get().(*features.Trace)
+	tr.Reset()
 	sw, err := c.Slice.Run(job.Globals, job.Params, tr)
 	if err != nil {
+		tracePool.Put(tr)
 		// A broken slice must never break the application: fall back
 		// to maximum frequency (always deadline-safe).
 		return governor.Decision{Target: c.Plat.MaxLevel(), PredictedExecSec: math.NaN()}
@@ -682,6 +690,7 @@ func (c *Controller) JobStart(job *governor.Job, cur platform.Level) governor.De
 	predictorSec := c.Plat.JobTimeAt(sw.CPU, sw.MemSec, cur)
 
 	p := c.PredictTraceSpans(tr, job.Params, job.RemainingBudgetSec, predictorSec, cur, st)
+	tracePool.Put(tr)
 	if c.tracer != nil {
 		e := c.decisionEvent(job, cur, p)
 		e.Spans, e.SpanTotalSec = st.Finish()

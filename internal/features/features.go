@@ -16,42 +16,116 @@ import (
 
 // Trace records the feature events of a single job. It implements
 // taskir.FeatureRecorder.
+//
+// Feature IDs are dense (instrument numbers its sites from 0), so the
+// counters live in a slice indexed by FID, with a mark for every
+// counter that received an event: a counter whose events sum to zero
+// is still part of the trace. Call dispatches are a short list of
+// distinct (site, address) pairs. A reused trace (Reset) keeps its
+// storage, so recording into it does not allocate.
 type Trace struct {
-	// Counts holds branch/loop counter values keyed by FID.
-	Counts map[int]int64
-	// CallAddrs holds the set of addresses each call-site FID
-	// dispatched to during the job.
-	CallAddrs map[int]map[int64]bool
+	counts []int64
+	set    []bool
+	// far holds counters whose FID lies outside [0, denseFIDs); only a
+	// hand-built or decoded trace has them, and a decoded one may have
+	// as many as the client sent keys.
+	far   map[int]int64
+	calls []callAddr
+}
+
+// denseFIDs bounds the FIDs a Trace stores by index, so a decoded
+// trace cannot allocate in proportion to a client-chosen FID. Real
+// programs have a few dozen sites at most.
+const denseFIDs = 1024
+
+// callAddr is one call site and an address it dispatched to.
+type callAddr struct {
+	fid  int
+	addr int64
 }
 
 // NewTrace returns an empty per-job trace.
-func NewTrace() *Trace {
-	return &Trace{Counts: map[int]int64{}, CallAddrs: map[int]map[int64]bool{}}
-}
+func NewTrace() *Trace { return &Trace{} }
 
 // AddFeature implements taskir.FeatureRecorder.
 func (t *Trace) AddFeature(fid int, amount int64) {
-	t.Counts[fid] += amount
+	if uint(fid) < uint(len(t.counts)) {
+		t.counts[fid] += amount
+		t.set[fid] = true
+		return
+	}
+	t.addSlow(fid, amount)
+}
+
+func (t *Trace) addSlow(fid int, amount int64) {
+	if fid < 0 || fid >= denseFIDs {
+		if t.far == nil {
+			t.far = map[int]int64{}
+		}
+		t.far[fid] += amount
+		return
+	}
+	n := min(max(fid+1, 2*len(t.counts)), denseFIDs)
+	t.counts = append(t.counts, make([]int64, n-len(t.counts))...)
+	t.set = append(t.set, make([]bool, n-len(t.set))...)
+	t.counts[fid] = amount
+	t.set[fid] = true
 }
 
 // RecordCall implements taskir.FeatureRecorder.
 func (t *Trace) RecordCall(fid int, addr int64) {
-	m := t.CallAddrs[fid]
-	if m == nil {
-		m = map[int64]bool{}
-		t.CallAddrs[fid] = m
+	c := callAddr{fid, addr}
+	for _, d := range t.calls {
+		if d == c {
+			return
+		}
 	}
-	m[addr] = true
+	t.calls = append(t.calls, c)
 }
 
 // Reset clears the trace for reuse on the next job.
 func (t *Trace) Reset() {
-	for k := range t.Counts {
-		delete(t.Counts, k)
+	clear(t.counts)
+	clear(t.set)
+	clear(t.far)
+	t.calls = t.calls[:0]
+}
+
+// Count returns counter fid's value, 0 when it recorded nothing.
+func (t *Trace) Count(fid int) int64 {
+	if uint(fid) < uint(len(t.counts)) {
+		return t.counts[fid]
 	}
-	for k := range t.CallAddrs {
-		delete(t.CallAddrs, k)
+	return t.far[fid]
+}
+
+// Counts returns the recorded counters keyed by FID, zero sums
+// included. It allocates; the decision path reads the trace through
+// Schema.VectorizeInto instead.
+func (t *Trace) Counts() map[int]int64 {
+	m := map[int]int64{}
+	for fid, ok := range t.set {
+		if ok {
+			m[fid] = t.counts[fid]
+		}
 	}
+	for fid, v := range t.far {
+		m[fid] = v
+	}
+	return m
+}
+
+// CallAddrs returns the set of addresses each call-site FID dispatched
+// to. Like Counts, it allocates.
+func (t *Trace) CallAddrs() map[int]map[int64]bool {
+	m := map[int]map[int64]bool{}
+	for _, c := range t.calls {
+		if m[c.fid] == nil {
+			m[c.fid] = map[int64]bool{}
+		}
+		m[c.fid][c.addr] = true
+	}
+	return m
 }
 
 // ColumnKind distinguishes counter columns from call one-hot columns.
@@ -82,40 +156,36 @@ type Column struct {
 // It is built once from profiling data and reused at run time.
 type Schema struct {
 	Columns []Column
-	// index maps (fid) → column for counters and (fid,addr) → column
-	// for call indicators.
-	counterIdx map[int]int
-	callIdx    map[int]map[int64]int
+	// counters lists each counter column with its FID, and calls maps
+	// a (call site, address) pair to its indicator column.
+	counters []counterCol
+	calls    map[callAddr]int
 }
+
+type counterCol struct{ fid, col int }
 
 // BuildSchema constructs a schema for the instrumented program from
 // profiling traces: counter sites become one column each; call sites
 // become one column per distinct address observed across all traces.
 // Column order is deterministic: sites by FID, addresses ascending.
 func BuildSchema(ip *instrument.Program, traces []*Trace) *Schema {
-	s := &Schema{
-		counterIdx: map[int]int{},
-		callIdx:    map[int]map[int64]int{},
-	}
 	// Collect all addresses seen per call site.
 	addrs := map[int]map[int64]bool{}
 	for _, tr := range traces {
-		for fid, set := range tr.CallAddrs {
-			m := addrs[fid]
+		for _, c := range tr.calls {
+			m := addrs[c.fid]
 			if m == nil {
 				m = map[int64]bool{}
-				addrs[fid] = m
+				addrs[c.fid] = m
 			}
-			for a := range set {
-				m[a] = true
-			}
+			m[c.addr] = true
 		}
 	}
+	var cols []Column
 	for _, site := range ip.Sites {
 		switch site.Kind {
 		case instrument.KindBranch, instrument.KindLoop:
-			s.counterIdx[site.FID] = len(s.Columns)
-			s.Columns = append(s.Columns, Column{
+			cols = append(cols, Column{
 				Kind: ColCounter,
 				FID:  site.FID,
 				Name: fmt.Sprintf("%s#%d", site.Kind, site.CtrlID),
@@ -127,12 +197,8 @@ func BuildSchema(ip *instrument.Program, traces []*Trace) *Schema {
 				sorted = append(sorted, a)
 			}
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-			if len(sorted) > 0 {
-				s.callIdx[site.FID] = map[int64]int{}
-			}
 			for _, a := range sorted {
-				s.callIdx[site.FID][a] = len(s.Columns)
-				s.Columns = append(s.Columns, Column{
+				cols = append(cols, Column{
 					Kind: ColCallAddr,
 					FID:  site.FID,
 					Addr: a,
@@ -141,7 +207,7 @@ func BuildSchema(ip *instrument.Program, traces []*Trace) *Schema {
 			}
 		}
 	}
-	return s
+	return NewSchemaFromColumns(cols)
 }
 
 // Dim returns the feature vector length.
@@ -170,20 +236,12 @@ func (s *Schema) VectorizeInto(dst []float64, tr *Trace) []float64 {
 	}
 	x := dst[:n]
 	clear(x)
-	for fid, v := range tr.Counts {
-		if idx, ok := s.counterIdx[fid]; ok {
-			x[idx] = float64(v)
-		}
+	for _, c := range s.counters {
+		x[c.col] = float64(tr.Count(c.fid))
 	}
-	for fid, set := range tr.CallAddrs {
-		cols, ok := s.callIdx[fid]
-		if !ok {
-			continue
-		}
-		for a := range set {
-			if idx, ok := cols[a]; ok {
-				x[idx] = 1
-			}
+	for _, c := range tr.calls {
+		if col, ok := s.calls[c]; ok {
+			x[col] = 1
 		}
 	}
 	return x
@@ -209,21 +267,22 @@ func (s *Schema) NeededFIDs(selected []int) map[int]bool {
 // with a program (§4.2).
 func NewSchemaFromColumns(cols []Column) *Schema {
 	s := &Schema{
-		Columns:    append([]Column(nil), cols...),
-		counterIdx: map[int]int{},
-		callIdx:    map[int]map[int64]int{},
+		Columns: append([]Column(nil), cols...),
+		calls:   map[callAddr]int{},
 	}
+	// A FID repeated across counter columns feeds only its last column.
+	counterAt := map[int]int{}
 	for i, c := range s.Columns {
 		switch c.Kind {
 		case ColCounter:
-			s.counterIdx[c.FID] = i
-		case ColCallAddr:
-			m := s.callIdx[c.FID]
-			if m == nil {
-				m = map[int64]int{}
-				s.callIdx[c.FID] = m
+			if at, ok := counterAt[c.FID]; ok {
+				s.counters[at].col = i
+				continue
 			}
-			m[c.Addr] = i
+			counterAt[c.FID] = len(s.counters)
+			s.counters = append(s.counters, counterCol{c.FID, i})
+		case ColCallAddr:
+			s.calls[callAddr{c.FID, c.Addr}] = i
 		}
 	}
 	return s

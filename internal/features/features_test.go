@@ -84,8 +84,8 @@ func TestTraceReset(t *testing.T) {
 	tr.AddFeature(0, 5)
 	tr.RecordCall(1, 99)
 	tr.Reset()
-	if len(tr.Counts) != 0 || len(tr.CallAddrs) != 0 {
-		t.Fatalf("Reset left data: %v %v", tr.Counts, tr.CallAddrs)
+	if len(tr.Counts()) != 0 || len(tr.CallAddrs()) != 0 {
+		t.Fatalf("Reset left data: %v %v", tr.Counts(), tr.CallAddrs())
 	}
 }
 

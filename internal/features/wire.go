@@ -25,28 +25,30 @@ type WireTrace struct {
 // state with the trace.
 func (t *Trace) Wire() WireTrace {
 	w := WireTrace{}
-	if len(t.Counts) > 0 {
-		w.Counts = make(map[string]int64, len(t.Counts))
-		for fid, v := range t.Counts {
+	if counts := t.Counts(); len(counts) > 0 {
+		w.Counts = make(map[string]int64, len(counts))
+		for fid, v := range counts {
 			w.Counts[strconv.Itoa(fid)] = v
 		}
 	}
-	if len(t.CallAddrs) > 0 {
-		w.Calls = make(map[string][]int64, len(t.CallAddrs))
-		for fid, set := range t.CallAddrs {
-			addrs := make([]int64, 0, len(set))
-			for a := range set {
-				addrs = append(addrs, a)
-			}
+	if len(t.calls) > 0 {
+		w.Calls = map[string][]int64{}
+		for _, c := range t.calls {
+			key := strconv.Itoa(c.fid)
+			w.Calls[key] = append(w.Calls[key], c.addr)
+		}
+		for _, addrs := range w.Calls {
 			sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-			w.Calls[strconv.Itoa(fid)] = addrs
 		}
 	}
 	return w
 }
 
 // Trace reconstructs a Trace from the wire form. Malformed FID keys
-// are an error — a serving endpoint must reject them, not guess.
+// are an error — a serving endpoint must reject them, not guess. The
+// trace's size and the work to decode it are bounded by the wire
+// form's, whatever FIDs it names: a FID outside the dense range is
+// kept in a map (see denseFIDs).
 func (w WireTrace) Trace() (*Trace, error) {
 	tr := NewTrace()
 	for key, v := range w.Counts {
@@ -54,18 +56,28 @@ func (w WireTrace) Trace() (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("features: bad counter FID key %q", key)
 		}
-		tr.Counts[fid] = v
+		// Keys naming one FID ("7", "07") keep one value, as a map
+		// keyed by FID would.
+		tr.AddFeature(fid, v-tr.Count(fid))
 	}
+	// Keys naming one FID ("7", "07") pool their addresses. Sorting
+	// makes duplicates adjacent, so each distinct pair is appended once
+	// without a quadratic search.
+	calls := map[int][]int64{}
 	for key, addrs := range w.Calls {
 		fid, err := strconv.Atoi(key)
 		if err != nil {
 			return nil, fmt.Errorf("features: bad call FID key %q", key)
 		}
-		set := make(map[int64]bool, len(addrs))
-		for _, a := range addrs {
-			set[a] = true
+		calls[fid] = append(calls[fid], addrs...)
+	}
+	for fid, addrs := range calls {
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		for i, a := range addrs {
+			if i == 0 || a != addrs[i-1] {
+				tr.calls = append(tr.calls, callAddr{fid, a})
+			}
 		}
-		tr.CallAddrs[fid] = set
 	}
 	return tr, nil
 }

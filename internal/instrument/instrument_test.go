@@ -77,14 +77,14 @@ func TestInstrumentedFeatureCounts(t *testing.T) {
 	}
 	// mode=1 → branch taken once; loop runs work = n+state = 5 times;
 	// call dispatches to addr 1.
-	if tr.Counts[0] != 1 {
-		t.Errorf("branch count = %d, want 1", tr.Counts[0])
+	if tr.Count(0) != 1 {
+		t.Errorf("branch count = %d, want 1", tr.Count(0))
 	}
-	if tr.Counts[1] != 5 {
-		t.Errorf("loop count = %d, want 5", tr.Counts[1])
+	if tr.Count(1) != 5 {
+		t.Errorf("loop count = %d, want 5", tr.Count(1))
 	}
-	if !tr.CallAddrs[2][1] {
-		t.Errorf("call addr 1 not recorded: %v", tr.CallAddrs)
+	if !tr.CallAddrs()[2][1] {
+		t.Errorf("call addr 1 not recorded: %v", tr.CallAddrs())
 	}
 }
 
@@ -96,13 +96,13 @@ func TestInstrumentedNotTakenBranch(t *testing.T) {
 	if _, err := taskir.Run(ip.Prog, env, taskir.RunOptions{Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Counts[0] != 0 {
-		t.Errorf("branch count = %d, want 0", tr.Counts[0])
+	if tr.Count(0) != 0 {
+		t.Errorf("branch count = %d, want 0", tr.Count(0))
 	}
 	// Loop is inside the untaken branch: its hoisted counter must not
 	// fire either.
-	if tr.Counts[1] != 0 {
-		t.Errorf("loop count = %d, want 0", tr.Counts[1])
+	if tr.Count(1) != 0 {
+		t.Errorf("loop count = %d, want 0", tr.Count(1))
 	}
 }
 
@@ -159,8 +159,8 @@ func TestInstrumentNegativeLoopCountFeatureIsZero(t *testing.T) {
 	if _, err := taskir.Run(ip.Prog, env, taskir.RunOptions{Recorder: tr}); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Counts[0] != 0 {
-		t.Errorf("loop feature = %d for negative count, want 0", tr.Counts[0])
+	if tr.Count(0) != 0 {
+		t.Errorf("loop feature = %d for negative count, want 0", tr.Count(0))
 	}
 }
 

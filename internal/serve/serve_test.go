@@ -273,6 +273,75 @@ func TestPredictErrorPaths(t *testing.T) {
 	}
 }
 
+// Trace keys that name no schema column — negative FIDs, FIDs past
+// every site including ones near the int64 limits, and unknown in-range
+// FIDs — leave a prediction unchanged, and keys that are not decimal
+// integers get a 400, whether they key counters or calls.
+func TestPredictForeignTraceKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	_, ts, _, _ := newTestStack(t, "")
+	trainViaAPI(t, ts, "uzbl")
+	jobs, err := GenerateJobs("uzbl", 3, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(job PredictJob) (int, PredictResponse) {
+		t.Helper()
+		body, _ := json.Marshal(PredictRequest{Model: "uzbl", PredictJob: job})
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var got PredictResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, got
+	}
+	foreign := []string{"-1", "-9223372036854775808", "9223372036854775807", "1024", "999"}
+	for i, job := range jobs {
+		if len(job.Features.Calls) == 0 {
+			t.Fatalf("job %d records no call sites; the test needs them", i)
+		}
+		code, want := post(job)
+		if code != http.StatusOK {
+			t.Fatalf("job %d: HTTP %d", i, code)
+		}
+		withForeign := job
+		withForeign.Features.Counts = map[string]int64{}
+		withForeign.Features.Calls = map[string][]int64{}
+		for k, v := range job.Features.Counts {
+			withForeign.Features.Counts[k] = v
+		}
+		for k, v := range job.Features.Calls {
+			withForeign.Features.Calls[k] = v
+		}
+		for _, k := range foreign {
+			withForeign.Features.Counts[k] = 1 << 40
+			withForeign.Features.Calls[k] = []int64{0, 1, -1}
+		}
+		if code, got := post(withForeign); code != http.StatusOK || got != want {
+			t.Fatalf("job %d with foreign keys: HTTP %d, %+v, want %+v", i, code, got, want)
+		}
+		for _, bad := range []string{"x", "1.5", " 2", "0x10", "99999999999999999999"} {
+			counts := job
+			counts.Features.Counts = map[string]int64{bad: 1}
+			calls := job
+			calls.Features.Calls = map[string][]int64{bad: {1}}
+			for _, j := range []PredictJob{counts, calls} {
+				if code, _ := post(j); code != http.StatusBadRequest {
+					t.Fatalf("job %d with key %q: HTTP %d, want 400", i, bad, code)
+				}
+			}
+		}
+	}
+}
+
 // The concurrency limiter must shed with 429 + Retry-After when the
 // server is at capacity (white-box: hold the only semaphore slot).
 func TestLoadShedding(t *testing.T) {

@@ -117,11 +117,11 @@ func TestSliceFeatureEquivalence(t *testing.T) {
 		if _, err := sl.Run(globals, params, sliceTr); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fullTr.Counts, sliceTr.Counts) {
-			t.Fatalf("trial %d: counts diverge: full=%v slice=%v", trial, fullTr.Counts, sliceTr.Counts)
+		if !reflect.DeepEqual(fullTr.Counts(), sliceTr.Counts()) {
+			t.Fatalf("trial %d: counts diverge: full=%v slice=%v", trial, fullTr.Counts(), sliceTr.Counts())
 		}
-		if !reflect.DeepEqual(fullTr.CallAddrs, sliceTr.CallAddrs) {
-			t.Fatalf("trial %d: call addrs diverge: full=%v slice=%v", trial, fullTr.CallAddrs, sliceTr.CallAddrs)
+		if !reflect.DeepEqual(fullTr.CallAddrs(), sliceTr.CallAddrs()) {
+			t.Fatalf("trial %d: call addrs diverge: full=%v slice=%v", trial, fullTr.CallAddrs(), sliceTr.CallAddrs())
 		}
 	}
 }
@@ -178,11 +178,11 @@ func TestFeatureSelectionShrinksSlice(t *testing.T) {
 	if _, err := small.Run(globals, params, tr); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Counts[branchFID] != fullTr.Counts[branchFID] {
-		t.Fatalf("selected slice branch count %d, want %d", tr.Counts[branchFID], fullTr.Counts[branchFID])
+	if tr.Count(branchFID) != fullTr.Count(branchFID) {
+		t.Fatalf("selected slice branch count %d, want %d", tr.Count(branchFID), fullTr.Count(branchFID))
 	}
 	// And it must not compute the dropped loop features.
-	for fid, v := range tr.Counts {
+	for fid, v := range tr.Counts() {
 		if fid != branchFID && v != 0 {
 			t.Errorf("slice computed unneeded feature %d=%d", fid, v)
 		}
@@ -224,8 +224,8 @@ func TestSliceKeepsLoopCarriedDeps(t *testing.T) {
 		if _, err := sl.Run(map[string]int64{}, map[string]int64{"n": n}, tr); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fullTr.Counts, tr.Counts) {
-			t.Fatalf("n=%d: counts diverge: full=%v slice=%v", n, fullTr.Counts, tr.Counts)
+		if !reflect.DeepEqual(fullTr.Counts(), tr.Counts()) {
+			t.Fatalf("n=%d: counts diverge: full=%v slice=%v", n, fullTr.Counts(), tr.Counts())
 		}
 	}
 }
@@ -262,8 +262,8 @@ func TestSliceKeepsCrossBranchDeps(t *testing.T) {
 		if _, err := sl.Run(map[string]int64{}, map[string]int64{"mode": mode}, tr); err != nil {
 			t.Fatal(err)
 		}
-		if tr.Counts[loopFID] != fullTr.Counts[loopFID] {
-			t.Fatalf("mode=%d: loop count %d, want %d", mode, tr.Counts[loopFID], fullTr.Counts[loopFID])
+		if tr.Count(loopFID) != fullTr.Count(loopFID) {
+			t.Fatalf("mode=%d: loop count %d, want %d", mode, tr.Count(loopFID), fullTr.Count(loopFID))
 		}
 	}
 }
@@ -315,11 +315,11 @@ func TestSliceEquivalenceFuzz(t *testing.T) {
 			if !reflect.DeepEqual(globals, before) {
 				t.Fatalf("trial %d: slice mutated globals", trial)
 			}
-			if !reflect.DeepEqual(nonZero(fullTr.Counts), nonZero(sliceTr.Counts)) {
+			if !reflect.DeepEqual(nonZero(fullTr.Counts()), nonZero(sliceTr.Counts())) {
 				t.Fatalf("trial %d run %d: feature counts diverge\nfull:  %v\nslice: %v\nprogram body: %v",
-					trial, run, fullTr.Counts, sliceTr.Counts, ip.Prog.Body)
+					trial, run, fullTr.Counts(), sliceTr.Counts(), ip.Prog.Body)
 			}
-			if !reflect.DeepEqual(fullTr.CallAddrs, sliceTr.CallAddrs) {
+			if !reflect.DeepEqual(fullTr.CallAddrs(), sliceTr.CallAddrs()) {
 				t.Fatalf("trial %d run %d: call addrs diverge", trial, run)
 			}
 			if sliceW.CPU > fullW.CPU {
@@ -369,8 +369,8 @@ func TestSliceKeepsIndexOnlyLoop(t *testing.T) {
 		if _, err := sl.Run(map[string]int64{}, map[string]int64{"n": n}, tr); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fullTr.Counts, tr.Counts) {
-			t.Fatalf("n=%d: counts diverge: full=%v slice=%v", n, fullTr.Counts, tr.Counts)
+		if !reflect.DeepEqual(fullTr.Counts(), tr.Counts()) {
+			t.Fatalf("n=%d: counts diverge: full=%v slice=%v", n, fullTr.Counts(), tr.Counts())
 		}
 	}
 }
@@ -405,8 +405,8 @@ func TestSliceWhileLoopEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(fullTr.Counts, tr.Counts) {
-			t.Fatalf("params %v: counts %v vs %v", params, fullTr.Counts, tr.Counts)
+		if !reflect.DeepEqual(fullTr.Counts(), tr.Counts()) {
+			t.Fatalf("params %v: counts %v vs %v", params, fullTr.Counts(), tr.Counts())
 		}
 		// Zero-iteration jobs do equal work; otherwise the slice is
 		// strictly cheaper (no Compute).

@@ -66,56 +66,70 @@ func (c Const) String() string { return fmt.Sprintf("%d", int64(c)) }
 func (v Var) String() string   { return string(v) }
 
 // Apply computes l op r. It is the one definition of the IR's
-// arithmetic: the compiled engine evaluates every Bin through it and
-// internal/analysis folds constants through it, so the two cannot
-// disagree.
+// arithmetic: it dispatches through opFuncs, internal/analysis and the
+// compiler fold constants through it, and the compiled engine's
+// closures call the same per-operator functions directly, so none of
+// them can disagree.
 func (op Op) Apply(l, r int64) int64 {
-	switch op {
-	case OpAdd:
-		return l + r
-	case OpSub:
-		return l - r
-	case OpMul:
-		return l * r
-	case OpDiv:
-		if r == 0 {
-			return 0
-		}
-		return l / r
-	case OpMod:
-		if r == 0 {
-			return 0
-		}
-		return l % r
-	case OpMin:
-		if l < r {
-			return l
-		}
-		return r
-	case OpMax:
-		if l > r {
-			return l
-		}
-		return r
-	case OpLT:
-		return b2i(l < r)
-	case OpLE:
-		return b2i(l <= r)
-	case OpGT:
-		return b2i(l > r)
-	case OpGE:
-		return b2i(l >= r)
-	case OpEQ:
-		return b2i(l == r)
-	case OpNE:
-		return b2i(l != r)
-	case OpAnd:
-		return b2i(l != 0 && r != 0)
-	case OpOr:
-		return b2i(l != 0 || r != 0)
+	if !op.valid() {
+		panic(fmt.Sprintf("taskir: unknown op %d", op))
 	}
-	panic(fmt.Sprintf("taskir: unknown op %d", op))
+	return opFuncs[op](l, r)
 }
+
+func (op Op) valid() bool { return uint(op) < uint(len(opFuncs)) }
+
+// opFuncs maps each operator to its function.
+var opFuncs = [...]func(l, r int64) int64{
+	OpAdd: add, OpSub: sub, OpMul: mul, OpDiv: div, OpMod: mod,
+	OpMin: minOp, OpMax: maxOp,
+	OpLT: lt, OpLE: le, OpGT: gt, OpGE: ge, OpEQ: eq, OpNE: ne,
+	OpAnd: and, OpOr: or,
+}
+
+// The operators, one small function each: the compiled engine's
+// closures call them directly, so they inline there.
+
+func add(l, r int64) int64 { return l + r }
+func sub(l, r int64) int64 { return l - r }
+func mul(l, r int64) int64 { return l * r }
+
+func div(l, r int64) int64 {
+	if r == 0 {
+		return 0
+	}
+	return l / r
+}
+
+func mod(l, r int64) int64 {
+	if r == 0 {
+		return 0
+	}
+	return l % r
+}
+
+func minOp(l, r int64) int64 {
+	if l < r {
+		return l
+	}
+	return r
+}
+
+func maxOp(l, r int64) int64 {
+	if l > r {
+		return l
+	}
+	return r
+}
+
+func lt(l, r int64) int64  { return b2i(l < r) }
+func le(l, r int64) int64  { return b2i(l <= r) }
+func gt(l, r int64) int64  { return b2i(l > r) }
+func ge(l, r int64) int64  { return b2i(l >= r) }
+func eq(l, r int64) int64  { return b2i(l == r) }
+func ne(l, r int64) int64  { return b2i(l != r) }
+func and(l, r int64) int64 { return b2i(l != 0 && r != 0) }
+func or(l, r int64) int64  { return b2i(l != 0 || r != 0) }
 
 func (b *Bin) String() string {
 	if b.Op == OpMin || b.Op == OpMax {

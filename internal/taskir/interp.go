@@ -76,7 +76,9 @@ const defaultMaxSteps = 50_000_000
 // Run executes one job of the program body in env and returns the work
 // performed. It compiles p on every call, so it suits one-off runs;
 // callers that run a program per job compile it once and use
-// Compiled.Run or Compiled.RunFrozen.
+// Compiled.Run or Compiled.RunFrozen. When env tracks undefined reads
+// (Env.TrackReads), Run compiles the variant that records them; no
+// other compiled form checks for them.
 func Run(p *Program, env *Env, opts RunOptions) (Work, error) {
-	return Compile(p).runEnv(env, opts)
+	return compile(p, env.undefReads != nil).runEnv(env, opts)
 }
