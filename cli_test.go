@@ -73,6 +73,31 @@ func TestCLIProfileSaveSimLoad(t *testing.T) {
 	}
 }
 
+// dvfssim takes its governor names from the core registry, and -model
+// is the controller source of whichever governor needs one: pid runs
+// from the loaded model's memory fraction, and a governor that needs no
+// model is a usage error rather than silently replaced by prediction.
+func TestCLIDvfssimModelFeedsRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	model := t.TempDir() + "/m.json"
+	runCLI(t, "./cmd/dvfsprofile", "-workload", "sha", "-o", model)
+	out := runCLI(t, "./cmd/dvfssim", "-workload", "sha", "-governor", "pid", "-model", model, "-jobs", "50")
+	if !strings.Contains(out, "governor   pid") {
+		t.Errorf("-governor pid -model should run pid:\n%s", out)
+	}
+	out = failCLI(t, "./cmd/dvfssim", "-workload", "sha", "-governor", "performance", "-model", model)
+	if !strings.Contains(out, "-model needs a governor") || !strings.Contains(out, "exit status 2") {
+		t.Errorf("-governor performance -model should be a usage error:\n%s", out)
+	}
+	out = failCLI(t, "./cmd/dvfssim", "-governor", "warp")
+	const names = "performance, powersave, ondemand, interactive, movingavg, pid, prediction, oracle"
+	if strings.Count(out, names) != 2 {
+		t.Errorf("the unknown-governor error and the -governor help should both list %q:\n%s", names, out)
+	}
+}
+
 // failCLI runs a command expecting a non-zero exit and returns its
 // combined output.
 func failCLI(t *testing.T, args ...string) string {
@@ -619,6 +644,33 @@ func TestCLIDvfsfleetRejectsBadUsage(t *testing.T) {
 			out := failCLI(t, tc.args...)
 			if !strings.Contains(out, tc.want) {
 				t.Errorf("missing %q:\n%s", tc.want, out)
+			}
+		})
+	}
+}
+
+// dvfsfleet checks -governor against the core registry and -platforms
+// against platform.ByName before any training starts: unknown names
+// are usage errors, exit 2 with the flag summary.
+func TestCLIDvfsfleetRejectsUnknownNamesUpFront(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	tests := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"governor", []string{"./cmd/dvfsfleet", "-governor", "warp"}, `unknown governor "warp"`},
+		{"platform", []string{"./cmd/dvfsfleet", "-platforms", "a7,nope"}, `unknown platform "nope"`},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			out := failCLI(t, tc.args...)
+			for _, want := range []string{tc.want, "Usage of", "-workload-mix", "exit status 2"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("missing %q:\n%s", want, out)
+				}
 			}
 		})
 	}

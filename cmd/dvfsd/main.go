@@ -49,7 +49,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/serve"
-	"repro/internal/trace"
 	"repro/internal/tsdb"
 	"repro/internal/workload"
 )
@@ -255,10 +254,7 @@ func run(addr, data, platName string, workers, queue, maxInflight int, timeout t
 	var fleetTracker *obs.FleetTracker
 	var fleetSLO *obs.SLOTracker
 	if fleetCfg.on {
-		fleetTracker = obs.NewFleetTracker(obs.FleetConfig{
-			TopK:         fleetCfg.topK,
-			EnergyPerJob: trace.EnergyEstimator(),
-		})
+		fleetTracker = obs.NewFleetTracker(obs.FleetConfig{TopK: fleetCfg.topK})
 		if sloTarget > 0 {
 			fleetSLO = obs.NewSLOTracker(obs.SLOConfig{Target: sloTarget, MaxKeys: 64})
 		}

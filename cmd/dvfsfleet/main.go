@@ -41,8 +41,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/trace"
 )
 
@@ -50,7 +52,7 @@ func main() {
 	devices := flag.Int("devices", 1000, "fleet size")
 	platforms := flag.String("platforms", "a7", "comma-separated platform models devices cycle through")
 	mixArg := flag.String("workload-mix", "sha", "workload mix as name:weight pairs, e.g. sha:3,rijndael:1")
-	governor := flag.String("governor", "prediction", "per-device governor")
+	governor := flag.String("governor", "prediction", "per-device governor: "+strings.Join(core.GovernorNames(), ", "))
 	jobs := flag.Int("jobs", 0, "jobs per device (0 = fleet default)")
 	budget := flag.Float64("budget", 0, "per-job deadline budget in seconds (0 = workload default)")
 	seed := flag.Int64("seed", 1, "fleet seed; fixes every device's seed and phase offset")
@@ -87,10 +89,19 @@ func main() {
 	if err != nil {
 		usageErr(err)
 	}
+	if _, err := core.NeedsController(*governor); err != nil {
+		usageErr(err)
+	}
+	plats := splitList(*platforms)
+	for _, name := range plats {
+		if _, err := platform.ByName(name); err != nil {
+			usageErr(err)
+		}
+	}
 
 	cfg := fleet.Config{
 		Devices:   *devices,
-		Platforms: splitList(*platforms),
+		Platforms: plats,
 		Mix:       mix,
 		Governor:  *governor,
 		Jobs:      *jobs,
@@ -123,11 +134,8 @@ func main() {
 	if *topk > 0 {
 		// Health scoring rides the same event stream as the trace
 		// writers — a tee sink, not a second pass over the run.
-		health = obs.NewFleetTracker(obs.FleetConfig{
-			TopK:         *topk,
-			EnergyPerJob: trace.EnergyEstimator(),
-		})
-		sinks = append(sinks, fleetSink{health})
+		health = obs.NewFleetTracker(obs.FleetConfig{TopK: *topk})
+		sinks = append(sinks, health)
 	}
 	switch len(sinks) {
 	case 0:
@@ -190,13 +198,6 @@ func splitList(s string) []string {
 	return out
 }
 
-// fleetSink adapts a FleetTracker to the Sink interface the fleet
-// engine tees events through.
-type fleetSink struct{ t *obs.FleetTracker }
-
-func (s fleetSink) Emit(e *obs.DecisionEvent) { s.t.Emit(e) }
-func (s fleetSink) Close() error              { return nil }
-
 // writeHealth prints the tracker's roll-up: class counts, residual
 // quantiles off the merged sketches, and the worst devices with
 // attribution — the same scoring dvfsd's /debug/fleet serves.
@@ -236,13 +237,9 @@ func (t teeSink) Close() error {
 }
 
 func writeSummary(w io.Writer, res *fleet.Result, elapsed time.Duration) {
-	missRate := 0.0
-	if res.Jobs > 0 {
-		missRate = float64(res.Misses) / float64(res.Jobs)
-	}
 	fmt.Fprintf(w, "fleet   %d devices, %d jobs in %.2fs (%.0f devices/sec)\n",
 		res.Devices, res.Jobs, elapsed.Seconds(), float64(res.Devices)/elapsed.Seconds())
-	fmt.Fprintf(w, "totals  %.3f J, %d misses (%.2f%%)\n", res.EnergyJ, res.Misses, 100*missRate)
+	fmt.Fprintf(w, "totals  %.3f J, %d misses (%.2f%%)\n", res.EnergyJ, res.Misses, 100*res.MissRate())
 	fmt.Fprintf(w, "device energy J    p50 %.4f  p90 %.4f  p95 %.4f  p99 %.4f\n",
 		res.DeviceEnergyJ.P50, res.DeviceEnergyJ.P90, res.DeviceEnergyJ.P95, res.DeviceEnergyJ.P99)
 	fmt.Fprintf(w, "device miss rate   p50 %.3f  p90 %.3f  p95 %.3f  p99 %.3f\n",

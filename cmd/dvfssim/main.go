@@ -6,7 +6,11 @@
 //
 //	dvfssim -workload ldecode -governor prediction [-budget 0.05]
 //	        [-jobs 300] [-seed 1] [-idle] [-csv trace.csv] [-json sum.json]
-//	        [-trace dec.jsonl] [-chrome trace.json]
+//	        [-trace dec.jsonl] [-chrome trace.json] [-model m.json]
+//
+// -model loads a trained model (dvfsprofile -o) as the controller of
+// the governors that need one (prediction, pid, movingavg); with any
+// other governor it is a usage error.
 //
 // -trace - writes the decision JSONL to stdout (and the human summary
 // to stderr), so runs pipe straight into dvfsreplay / dvfstrace:
@@ -32,7 +36,7 @@ import (
 
 func main() {
 	wName := flag.String("workload", "ldecode", "benchmark name (see Table 2)")
-	gName := flag.String("governor", "prediction", "governor: performance, powersave, interactive, pid, prediction, oracle")
+	gName := flag.String("governor", "prediction", "governor: "+strings.Join(core.GovernorNames(), ", "))
 	budget := flag.Float64("budget", 0, "time budget in seconds (0 = paper default)")
 	jobs := flag.Int("jobs", 0, "number of jobs (0 = workload default)")
 	seed := flag.Int64("seed", 1, "random seed")
@@ -41,7 +45,7 @@ func main() {
 	jsonPath := flag.String("json", "", "write run summary JSON to this path")
 	tracePath := flag.String("trace", "", "write decision events as JSONL to this path (dvfstrace reads it)")
 	chromePath := flag.String("chrome", "", "write a Chrome trace-event file to this path (chrome://tracing, Perfetto)")
-	modelPath := flag.String("model", "", "load a trained prediction model (from dvfsprofile -o) instead of training")
+	modelPath := flag.String("model", "", "load the trained model (from dvfsprofile -o) a prediction, pid or movingavg governor runs from, instead of training")
 	platName := flag.String("platform", "a7", "platform model: a7, x86, biglittle")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -63,21 +67,18 @@ func main() {
 	if _, err := platform.ByName(*platName); err != nil {
 		usageErr(err)
 	}
-	if !validGovernors[*gName] {
-		usageErr(fmt.Errorf("unknown governor %q (have: performance, powersave, interactive, ondemand, movingavg, pid, prediction, oracle)", *gName))
+	needsController, err := core.NeedsController(*gName)
+	if err != nil {
+		usageErr(err)
+	}
+	if *modelPath != "" && !needsController {
+		usageErr(fmt.Errorf("-model needs a governor that runs from a trained model, not %q", *gName))
 	}
 
 	if err := run(*wName, *gName, *budget, *jobs, *seed, *idle, *csvPath, *jsonPath, *tracePath, *chromePath, *modelPath, *platName); err != nil {
 		fmt.Fprintln(os.Stderr, "dvfssim:", err)
 		os.Exit(1)
 	}
-}
-
-// validGovernors mirrors experiments.Suite.Governor's dispatch table.
-var validGovernors = map[string]bool{
-	"performance": true, "powersave": true, "interactive": true,
-	"ondemand": true, "movingavg": true, "pid": true,
-	"prediction": true, "oracle": true,
 }
 
 func run(wName, gName string, budget float64, jobs int, seed int64, idle bool, csvPath, jsonPath, tracePath, chromePath, modelPath, platName string) error {
@@ -90,18 +91,21 @@ func run(wName, gName string, budget float64, jobs int, seed int64, idle bool, c
 		return err
 	}
 	suite := experiments.NewSuiteOn(plat, seed)
-	var g governor.Governor
+	source := core.ControllerSource(suite.Controller)
 	if modelPath != "" {
 		f, err := os.Open(modelPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		g, err = core.LoadController(f, w, suite.Plat, suite.Switch)
+		loaded, err := core.LoadController(f, w, suite.Plat, suite.Switch)
 		if err != nil {
 			return err
 		}
-	} else if g, err = suite.Governor(gName, w); err != nil {
+		source = func(*workload.Workload) (*core.Controller, error) { return loaded, nil }
+	}
+	g, err := core.NewGovernor(gName, w, suite.Plat, suite.Switch, source)
+	if err != nil {
 		return err
 	}
 

@@ -6,20 +6,17 @@ import (
 	"os"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 // runByDevice replays the events through a FleetTracker and reports
 // the fleet roll-up: per-class device counts, sketch-backed residual
 // quantiles, and the top-N worst devices with attribution — the
-// offline twin of dvfsd's /debug/fleet. Energy uses the platform
-// power model when the trace carries resolvable platform names, and
-// the f² proxy otherwise (same rule the replayer applies).
+// offline twin of dvfsd's /debug/fleet. Energy is every segment the
+// platform ledger charges (obs.ChargeEvent) when the trace carries
+// resolvable platform names; other devices' events are counted as
+// unpriced.
 func runByDevice(events []obs.DecisionEvent, topN int, format string) error {
-	ft := obs.NewFleetTracker(obs.FleetConfig{
-		TopK:         topN,
-		EnergyPerJob: trace.EnergyEstimator(),
-	})
+	ft := obs.NewFleetTracker(obs.FleetConfig{TopK: topN})
 	for i := range events {
 		ft.Emit(&events[i])
 	}
@@ -43,6 +40,9 @@ func writeByDeviceText(w *os.File, s *obs.FleetStatus) {
 	fmt.Fprintf(w, "devices  miss-ewma p50 %.4f p99 %.4f   energy/job p50 %.4g p99 %.4g J\n",
 		s.DeviceMissEWMA.P50, s.DeviceMissEWMA.P99,
 		s.DeviceEnergyPerJob.P50, s.DeviceEnergyPerJob.P99)
+	if s.Unpriced > 0 {
+		fmt.Fprintf(w, "unpriced %d events on platforms no power model resolves (energy 0)\n", s.Unpriced)
+	}
 	if len(s.Worst) > 0 {
 		fmt.Fprintf(w, "worst devices by health score:\n")
 		fmt.Fprintf(w, "  %-20s %-12s %8s %8s %9s %9s %12s %7s %-9s %s\n",

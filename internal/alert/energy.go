@@ -12,12 +12,12 @@ import (
 // The online energy meter is the live counterpart of dvfsreplay's
 // offline reconstruction: each (workload, device) stream charges its
 // decision events to a platform.Ledger, the same ledger the
-// reconstruction drives — the idle gap before the job and the
-// predictor slice at the from-level, the DVFS transition, the
-// execution at the chosen level. The one segment it cannot charge is
-// the replay's final drain to the horizon (the trace has not ended
-// yet), so on an identical trace the exec, predictor and switch
-// energies are equal and the idle energies differ by exactly that
+// reconstruction drives, through obs.ChargeEvent — the idle gap before
+// the job and the predictor slice at the from-level, the DVFS
+// transition, the execution at the chosen level. The one segment it
+// cannot charge is the replay's final drain to the horizon (the trace
+// has not ended yet), so on an identical trace the exec, predictor and
+// switch energies are equal and the idle energies differ by exactly that
 // drain; the cross-validation test asserts both.
 //
 // It runs as a tracer sink on the decision path, so Emit is
@@ -82,23 +82,16 @@ func burn(j, sec *stats.Window, budgetW float64) float64 {
 type EnergyMeter struct {
 	mu      sync.Mutex
 	cfg     EnergyConfig
-	tables  map[string]*platform.PowerTable // platform name → tables; nil = unknown
+	def     *platform.PowerTable // cfg.Platform's tables; nil without one
 	streams map[streamKey]*energyStream
 	skipped uint64
 }
 
 // NewEnergyMeter builds a meter.
 func NewEnergyMeter(cfg EnergyConfig) *EnergyMeter {
-	m := &EnergyMeter{
-		cfg:     cfg,
-		tables:  map[string]*platform.PowerTable{},
-		streams: map[streamKey]*energyStream{},
-	}
+	m := &EnergyMeter{cfg: cfg, streams: map[streamKey]*energyStream{}}
 	if cfg.Platform != nil {
-		m.tables[""] = platform.NewPowerTable(cfg.Platform)
-		m.tables[cfg.Platform.Name] = m.tables[""]
-	} else {
-		m.tables[""] = nil
+		m.def = platform.NewPowerTable(cfg.Platform)
 	}
 	return m
 }
@@ -112,7 +105,7 @@ func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
 	m.mu.Lock()
 	st := m.streams[streamKey{e.Workload, e.Device}]
 	if st == nil {
-		//dvfs:allow-alloc first event of a stream: builds the accumulator and (at most once per platform) the power tables
+		//dvfs:allow-alloc first event of a stream: builds the accumulator and (at most once per platform per process) the power tables
 		st = m.newStream(e.Workload, e.Device, e.Platform)
 	}
 	if st.led == nil {
@@ -122,30 +115,17 @@ func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
 		return
 	}
 	t0 := st.led.Now()
-	joules := st.led.IdleUntil(e.TimeSec, e.FromLevel)
-	swSec := e.MeasSwitchSec
-	if swSec == 0 && e.Level != e.FromLevel {
-		// The table estimate beats pricing the transition at zero —
-		// the same fallback the offline reconstruction uses.
-		swSec = e.SwitchSec
-	}
-	var execSec float64
-	switch {
-	case e.Done && e.ActualExecSec > 0:
-		execSec = e.ActualExecSec
+	idleJ, runJ, execSec := obs.ChargeEvent(st.led, e)
+	if execSec > 0 {
 		st.jobs++
-	case !e.Done && e.PredictedExecSec > 0:
-		// One-shot serve decision: the job runs client-side, so price
-		// the prediction — flagged separately in predBasisJ.
-		execSec = e.PredictedExecSec
-		st.jobs++
-		st.oneShots++
+		if !e.Done {
+			// One-shot serve decision: the job runs client-side, so the
+			// prediction was priced — flagged separately in predBasisJ.
+			st.oneShots++
+			st.predBasisJ += runJ
+		}
 	}
-	run := st.led.Run(e.FromLevel, e.Level, e.PredictorSec, swSec, execSec)
-	if !e.Done && execSec > 0 {
-		st.predBasisJ += run
-	}
-	joules += run
+	joules := idleJ + runJ
 	if dt := st.led.Now() - t0; m.cfg.BudgetW > 0 && dt > 0 {
 		st.fastJ.Push(joules)
 		st.fastSec.Push(dt)
@@ -155,15 +135,14 @@ func (m *EnergyMeter) Emit(e *obs.DecisionEvent) {
 	m.mu.Unlock()
 }
 
-// newStream resolves the event's platform and registers the stream,
-// folding into the overflow stream past energyMaxKeys. Caller holds m.mu.
+// newStream resolves the event's platform — cfg.Platform for events
+// naming none or naming it by model name, else platform.ByName — and
+// registers the stream, folding into the overflow stream past
+// energyMaxKeys. Caller holds m.mu.
 func (m *EnergyMeter) newStream(workload, device, platName string) *energyStream {
-	pt, ok := m.tables[platName]
-	if !ok {
-		if p, err := platform.ByName(platName); err == nil {
-			pt = platform.NewPowerTable(p)
-		}
-		m.tables[platName] = pt
+	pt := m.def
+	if platName != "" && (m.cfg.Platform == nil || platName != m.cfg.Platform.Name) {
+		pt = platform.PowerTableByName(platName)
 	}
 	key := streamKey{workload, device}
 	if len(m.streams) >= energyMaxKeys {

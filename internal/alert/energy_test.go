@@ -120,6 +120,11 @@ func TestEnergyUnknownPlatformSkipped(t *testing.T) {
 	if got := m.TotalJ(); got != 0 {
 		t.Fatalf("unknown platform charged %g J", got)
 	}
+	// The default platform's own model name prices like an unnamed event.
+	m.Emit(&obs.DecisionEvent{Workload: "w3", Platform: "odroid-xu3-a7", Done: true, ActualExecSec: 1})
+	if got := m.Skipped(); got != 1 || m.TotalJ() <= 0 {
+		t.Fatalf("model-named event: skipped %d, total %g J; want it metered", got, m.TotalJ())
+	}
 	// No default platform at all: unnamed events are skipped too.
 	m2 := NewEnergyMeter(EnergyConfig{})
 	m2.Emit(&obs.DecisionEvent{Workload: "w", Done: true, ActualExecSec: 1})

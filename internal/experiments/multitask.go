@@ -83,14 +83,10 @@ type BaselineRow struct {
 	MissPct   float64
 }
 
-// AllGovernors is the extended baseline set: the paper's four plus the
+// runBaselines runs the extended baseline set, every registered
+// governor but the oracle in registry order: the paper's four plus the
 // extra kernel policies (powersave, ondemand) and the moving-average
 // reactive controller its related work cites (§6.1).
-var AllGovernors = []string{
-	"performance", "powersave", "ondemand", "interactive",
-	"movingavg", "pid", "prediction",
-}
-
 func (s *Suite) runBaselines(name string) ([]BaselineRow, error) {
 	w, err := workload.ByName(name)
 	if err != nil {
@@ -98,7 +94,12 @@ func (s *Suite) runBaselines(name string) ([]BaselineRow, error) {
 	}
 	var rows []BaselineRow
 	var perfEnergy float64
-	for _, g := range AllGovernors {
+	for _, g := range core.GovernorNames() {
+		if g == "oracle" {
+			// Not a baseline: the oracle's analysis removes the
+			// controller overheads every other row pays.
+			continue
+		}
 		r, err := s.runOne(g, w, sim.Config{})
 		if err != nil {
 			return nil, err

@@ -63,36 +63,10 @@ func (s *Suite) Controller(w *workload.Workload) (*core.Controller, error) {
 // GovernorNames is the evaluation order of §5.2.
 var GovernorNames = []string{"performance", "interactive", "pid", "prediction"}
 
-// Governor instantiates a fresh controller by name for one run
-// (stateful governors must not be shared between runs).
+// Governor instantiates a fresh governor by name for one run through
+// the core registry, training w's controller on first use.
 func (s *Suite) Governor(name string, w *workload.Workload) (governor.Governor, error) {
-	switch name {
-	case "performance":
-		return &governor.Performance{Plat: s.Plat}, nil
-	case "powersave":
-		return &governor.Powersave{Plat: s.Plat}, nil
-	case "interactive":
-		return &governor.Interactive{Plat: s.Plat}, nil
-	case "ondemand":
-		return &governor.Ondemand{Plat: s.Plat}, nil
-	case "movingavg":
-		ctrl, err := s.Controller(w)
-		if err != nil {
-			return nil, err
-		}
-		return &governor.MovingAverage{Plat: s.Plat, Switch: s.Switch, MemFraction: ctrl.MemFraction()}, nil
-	case "pid":
-		ctrl, err := s.Controller(w)
-		if err != nil {
-			return nil, err
-		}
-		return &governor.PID{Plat: s.Plat, Switch: s.Switch, MemFraction: ctrl.MemFraction()}, nil
-	case "prediction":
-		return s.Controller(w)
-	case "oracle":
-		return &governor.Oracle{Plat: s.Plat}, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown governor %q", name)
+	return core.NewGovernor(name, w, s.Plat, s.Switch, s.Controller)
 }
 
 // runOne simulates workload w under the named governor.

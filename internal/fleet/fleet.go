@@ -28,7 +28,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -87,8 +86,8 @@ type Config struct {
 	Platforms []string
 	// Mix assigns workloads to devices by weight. Empty selects sha.
 	Mix []MixEntry
-	// Governor names the per-device governor (experiments.Suite
-	// names); empty selects "prediction".
+	// Governor names the per-device governor (core.GovernorNames);
+	// empty selects "prediction".
 	Governor string
 	// Jobs is the per-device job count; zero selects 20 (enough for
 	// level churn, small enough for 100k-device CI smoke runs).
@@ -212,12 +211,7 @@ type DeviceResult struct {
 }
 
 // MissRate is the device's deadline-miss fraction.
-func (d *DeviceResult) MissRate() float64 {
-	if d.Jobs == 0 {
-		return 0
-	}
-	return float64(d.Misses) / float64(d.Jobs)
-}
+func (d *DeviceResult) MissRate() float64 { return missRate(d.Misses, d.Jobs) }
 
 // GroupAgg aggregates a slice of the fleet (one platform, or one
 // workload).
@@ -230,12 +224,7 @@ type GroupAgg struct {
 }
 
 // MissRate is the group's deadline-miss fraction.
-func (g *GroupAgg) MissRate() float64 {
-	if g.Jobs == 0 {
-		return 0
-	}
-	return float64(g.Misses) / float64(g.Jobs)
-}
+func (g *GroupAgg) MissRate() float64 { return missRate(g.Misses, g.Jobs) }
 
 // Quantiles summarizes a per-device distribution.
 type Quantiles struct {
@@ -265,15 +254,15 @@ type Result struct {
 }
 
 // MissRate is the fleet-wide deadline-miss fraction.
-func (r *Result) MissRate() float64 {
-	if r.Jobs == 0 {
+func (r *Result) MissRate() float64 { return missRate(r.Misses, r.Jobs) }
+
+// missRate is misses/jobs, zero without jobs.
+func missRate(misses, jobs int) float64 {
+	if jobs == 0 {
 		return 0
 	}
-	return float64(r.Misses) / float64(r.Jobs)
+	return float64(misses) / float64(jobs)
 }
-
-// defaultWorkers sizes the pool to the scheduler's parallelism.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // devOut carries one finished device from a worker to the commit
 // stage.
@@ -292,19 +281,22 @@ func Run(cfg Config) (*Result, error) {
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > cfg.Devices {
 		workers = cfg.Devices
 	}
 
-	// Resolve platforms and pre-train controllers serially: the suite
-	// controller cache is not locked, so all writes happen before the
-	// pool starts and workers only ever read it. One suite per
-	// platform; training cost is paid once per (platform, workload),
-	// not per device.
-	plats := make(map[string]*platform.Platform, len(cfg.Platforms))
-	suites := make(map[string]*experiments.Suite, len(cfg.Platforms))
+	// Resolve platforms and pre-train controllers serially, before the
+	// pool starts, so workers only ever read them. Training cost is paid
+	// once per (platform, workload), not per device, with the
+	// experiment suite's settings: profiling at Seed+17 against the
+	// switch table measured at Seed+2000.
+	needsController, err := core.NeedsController(cfg.Governor)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	plats := make(map[string]*devicePlatform, len(cfg.Platforms))
 	for _, name := range cfg.Platforms {
 		if _, ok := plats[name]; ok {
 			continue
@@ -313,27 +305,26 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
-		plats[name] = p
-		suites[name] = experiments.NewSuiteOn(p, cfg.Seed)
-	}
-	needsController := cfg.Governor == "prediction" || cfg.Governor == "pid" || cfg.Governor == "movingavg"
-	for _, m := range cfg.Mix {
-		w, err := workload.ByName(m.Workload)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		for _, name := range cfg.Platforms {
-			if !needsController {
-				// Validate the governor name once per platform.
-				if _, err := suites[name].Governor(cfg.Governor, w); err != nil {
-					return nil, err
+		dp := &devicePlatform{plat: p}
+		if needsController {
+			dp.sw = platform.MeasureSwitchTable(p, 500, 0.95, cfg.Seed+2000)
+			dp.ctls = map[string]*core.Controller{}
+			for _, m := range cfg.Mix {
+				w, err := workload.ByName(m.Workload)
+				if err != nil {
+					return nil, fmt.Errorf("fleet: %w", err)
 				}
-				continue
-			}
-			if _, err := suites[name].Controller(w); err != nil {
-				return nil, err
+				if dp.ctls[w.Name] != nil {
+					continue
+				}
+				c, err := core.Build(w, core.Config{Plat: p, ProfileSeed: cfg.Seed + 17, Switch: dp.sw})
+				if err != nil {
+					return nil, fmt.Errorf("fleet: building controller for %s on %s: %w", w.Name, name, err)
+				}
+				dp.ctls[w.Name] = c
 			}
 		}
+		plats[name] = dp
 	}
 
 	type indexed struct {
@@ -351,7 +342,7 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				out := runDevice(cfg, cfg.Spec(i), suites, plats)
+				out := runDevice(cfg, cfg.Spec(i), plats)
 				if out.err != nil {
 					abort.Do(func() { close(aborted) })
 				}
@@ -416,32 +407,46 @@ func Run(cfg Config) (*Result, error) {
 	return agg.result(), nil
 }
 
-// runDevice simulates one device: resolve its workload, instantiate a
-// per-device governor (cloning the shared trained controller — its
-// mutable half must not be shared across goroutines), attach a tracer
-// when events are wanted, run, and adapt the outcome. The per-decision
-// work inside the run is the already-annotated //dvfs:hotpath
-// controller path (core.Controller.PredictTrace).
-func runDevice(cfg Config, spec DeviceSpec, suites map[string]*experiments.Suite, plats map[string]*platform.Platform) devOut {
+// devicePlatform is one platform model with what its devices share:
+// the switch table and the trained controllers by workload name (both
+// empty when the governor needs no controller). Read-only once the
+// pool starts.
+type devicePlatform struct {
+	plat *platform.Platform
+	sw   *platform.SwitchTable
+	ctls map[string]*core.Controller
+}
+
+// controller is the platform's core.ControllerSource.
+func (d *devicePlatform) controller(w *workload.Workload) (*core.Controller, error) {
+	if c := d.ctls[w.Name]; c != nil {
+		return c, nil
+	}
+	return nil, fmt.Errorf("no controller trained for %s on %s", w.Name, d.plat.Name)
+}
+
+// runDevice simulates one device: resolve its workload, build a
+// per-device governor through the core registry (a prediction governor
+// is a clone of the shared trained controller), attach a tracer when
+// events are wanted, run, and adapt the outcome. The per-decision work
+// inside the run is the already-annotated //dvfs:hotpath controller
+// path (core.Controller.PredictTrace).
+func runDevice(cfg Config, spec DeviceSpec, plats map[string]*devicePlatform) devOut {
 	w, err := workload.ByName(spec.Workload)
 	if err != nil {
 		return devOut{err: fmt.Errorf("fleet: device %s: %w", spec.ID, err)}
 	}
-	suite := suites[spec.Platform]
-	gov, err := suite.Governor(cfg.Governor, w)
+	dp := plats[spec.Platform]
+	gov, err := core.NewGovernor(cfg.Governor, w, dp.plat, dp.sw, dp.controller)
 	if err != nil {
 		return devOut{err: fmt.Errorf("fleet: device %s: %w", spec.ID, err)}
 	}
 	var mem *obs.MemorySink
-	if ctl, ok := gov.(*core.Controller); ok {
-		clone := ctl.Clone()
-		if cfg.Sink != nil {
-			mem = &obs.MemorySink{}
-			clone.SetTracer(obs.NewTracer(obs.TracerOptions{Sinks: []obs.Sink{mem}}))
-		}
-		gov = clone
+	if ctl, ok := gov.(*core.Controller); ok && cfg.Sink != nil {
+		mem = &obs.MemorySink{}
+		ctl.SetTracer(obs.NewTracer(obs.TracerOptions{Sinks: []obs.Sink{mem}}))
 	}
-	r, err := sim.Run(w, gov, cfg.SimConfig(spec, plats[spec.Platform]))
+	r, err := sim.Run(w, gov, cfg.SimConfig(spec, dp.plat))
 	if err != nil {
 		return devOut{err: fmt.Errorf("fleet: device %s: %w", spec.ID, err)}
 	}

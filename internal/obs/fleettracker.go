@@ -5,100 +5,35 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/platform"
 )
 
-// FleetConfig parameterizes a FleetTracker. The zero value selects
-// defaults suitable for dashboards: 32 shards, top-10 worst devices,
-// 1% miss budget, 25% residual-drift budget.
+// FleetConfig parameterizes a FleetTracker.
 type FleetConfig struct {
-	// Shards is the number of lock shards device state is spread over;
-	// zero → 32. More shards means less contention under concurrent
-	// ingest; determinism of snapshots is unaffected because shard
-	// sketches merge in fixed shard order.
-	Shards int
 	// TopK is how many worst devices Snapshot surfaces; zero → 10.
 	TopK int
-	// MissTarget is the per-device deadline-miss budget the health
-	// score normalizes against; zero → 0.01.
-	MissTarget float64
-	// DriftBudget is the |residual|/predicted fraction treated as a
-	// full drift signal; zero → 0.25.
-	DriftBudget float64
-	// Alpha is the EWMA step for the per-device miss and drift
-	// estimators; zero → 0.05 (≈20-job memory).
-	Alpha float64
-	// MinJobs is how many completed jobs a device needs before it is
-	// classified (younger devices report ClassFresh); zero → 8.
-	MinJobs int
-	// DegradedScore and OutlierScore are the health-score thresholds
-	// for the degraded and outlier classes; zero → 0.25 and 0.5.
-	DegradedScore float64
-	OutlierScore  float64
-	// HistoryEvery appends one fleet history point (for dashboard
-	// quantile bands) every N completed jobs; zero → 512.
-	HistoryEvery int
-	// HistoryCap bounds the history ring; zero → 256 points.
-	HistoryCap int
-	// Compression is the quantile-sketch compression; zero → 200.
-	Compression int
-	// HeavyK is the heavy-hitter sketch capacity; zero → 32.
-	HeavyK int
-	// EnergyPerJob estimates one completed event's energy in joules;
-	// false means no estimate. Without one (or with nil), the tracker
-	// uses a frequency-squared proxy (freq²·exec, normalized to GHz² so
-	// magnitudes stay readable): relative comparisons between devices —
-	// all the health score needs — survive the missing voltage
-	// constants.
-	EnergyPerJob func(e *DecisionEvent) (float64, bool)
-	// SLO, when non-nil, receives every completed event via
-	// ObserveEvent — fleet-level burn tracking rides along with health
-	// scoring.
-	SLO *SLOTracker
 }
 
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Shards <= 0 {
-		c.Shards = 32
-	}
-	if c.TopK <= 0 {
-		c.TopK = 10
-	}
-	if c.MissTarget <= 0 {
-		c.MissTarget = 0.01
-	}
-	if c.DriftBudget <= 0 {
-		c.DriftBudget = 0.25
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.05
-	}
-	if c.MinJobs <= 0 {
-		c.MinJobs = 8
-	}
-	if c.DegradedScore <= 0 {
-		c.DegradedScore = 0.25
-	}
-	if c.OutlierScore <= 0 {
-		c.OutlierScore = 0.5
-	}
-	if c.HistoryEvery <= 0 {
-		c.HistoryEvery = 512
-	}
-	if c.HistoryCap <= 0 {
-		c.HistoryCap = 256
-	}
-	if c.HeavyK <= 0 {
-		c.HeavyK = defaultHHCapacity
-	}
-	return c
-}
+// Fleet health scoring constants (DESIGN.md §5j).
+const (
+	fleetShards   = 32   // lock shards; snapshots merge them in fixed order
+	missTarget    = 0.01 // per-device miss budget the score normalizes against
+	driftBudget   = 0.25 // |residual|/predicted treated as a full drift signal
+	fleetAlpha    = 0.05 // EWMA step of the miss and drift estimators (≈20 jobs)
+	minJobs       = 8    // completed jobs before a device is classified
+	degradedScore = 0.25 // health-score threshold of the degraded class
+	outlierScore  = 0.5  // health-score threshold of the outlier class
+	historyEvery  = 512  // completed jobs per fleet history point
+	historyCap    = 256  // fleet history ring size
+)
 
 // Device health classes.
 const (
-	ClassFresh    = "fresh"    // under MinJobs — not yet classified
-	ClassHealthy  = "healthy"  // score < DegradedScore
-	ClassDegraded = "degraded" // DegradedScore ≤ score < OutlierScore
-	ClassOutlier  = "outlier"  // score ≥ OutlierScore
+	ClassFresh    = "fresh"    // under minJobs — not yet classified
+	ClassHealthy  = "healthy"  // score < degradedScore
+	ClassDegraded = "degraded" // degradedScore ≤ score < outlierScore
+	ClassOutlier  = "outlier"  // score ≥ outlierScore
 )
 
 // DeviceHealth is one device's scored state at snapshot time.
@@ -117,7 +52,10 @@ type DeviceHealth struct {
 	// under-prediction); DriftEWMA its magnitude.
 	ResidEWMA float64 `json:"resid_ewma"`
 	DriftEWMA float64 `json:"drift_ewma"`
-	// EnergyPerJob is total estimated energy over completed jobs.
+	// EnergyJ is every segment the device's events charged to its
+	// platform ledger (obs.ChargeEvent); zero when the platform does
+	// not resolve. EnergyPerJob is EnergyJ over completed jobs.
+	EnergyJ      float64 `json:"energy_j"`
 	EnergyPerJob float64 `json:"energy_per_job"`
 	// Score ∈ [0,1): weighted saturating blend of miss, drift, and
 	// energy excess (see DESIGN.md §5j). Attribution names the
@@ -164,6 +102,9 @@ type FleetStatus struct {
 	Events    uint64 `json:"events"`
 	Completed uint64 `json:"completed"`
 	Misses    uint64 `json:"misses"`
+	// Unpriced counts events of devices whose platform does not
+	// resolve (platform.ByName): counted rather than guessed at.
+	Unpriced uint64 `json:"unpriced,omitempty"`
 	// MissRate is the fleet-wide misses/completed.
 	MissRate float64 `json:"miss_rate"`
 	// Healthy/Degraded/Outliers/Fresh count devices per class.
@@ -196,7 +137,7 @@ type deviceState struct {
 	missEWMA  float64
 	residEWMA float64
 	driftEWMA float64
-	energyJ   float64
+	led       *platform.Ledger // nil for an unknown platform
 }
 
 type fleetShard struct {
@@ -208,18 +149,19 @@ type fleetShard struct {
 
 // FleetTracker is a sink that consumes device-labeled DecisionEvents
 // and maintains per-device health: miss-rate and residual-drift EWMAs,
-// an energy/job estimate, and stream-level sketches. State is sharded
-// by device hash so 32 concurrent writers (the fleet worker pool, or
-// parallel ingest requests) contend only per shard; Snapshot merges
-// shard sketches in fixed shard order, so a deterministic feed yields
-// deterministic snapshots.
+// energy on one platform.Ledger per device, and stream-level sketches.
+// State is sharded by device hash so 32 concurrent writers (the fleet
+// worker pool, or parallel ingest requests) contend only per shard;
+// Snapshot merges shard sketches in fixed shard order, so a
+// deterministic feed yields deterministic snapshots.
 type FleetTracker struct {
-	cfg    FleetConfig
+	topK   int
 	shards []*fleetShard
 
 	events    atomic.Uint64
 	completed atomic.Uint64
 	misses    atomic.Uint64
+	unpriced  atomic.Uint64
 
 	histMu   sync.Mutex
 	history  []FleetPoint
@@ -228,17 +170,19 @@ type FleetTracker struct {
 
 // NewFleetTracker returns a tracker with the given configuration.
 func NewFleetTracker(cfg FleetConfig) *FleetTracker {
-	cfg = cfg.withDefaults()
 	t := &FleetTracker{
-		cfg:      cfg,
-		shards:   make([]*fleetShard, cfg.Shards),
-		histNext: uint64(cfg.HistoryEvery),
+		topK:     cfg.TopK,
+		shards:   make([]*fleetShard, fleetShards),
+		histNext: historyEvery,
+	}
+	if t.topK <= 0 {
+		t.topK = 10
 	}
 	for i := range t.shards {
 		t.shards[i] = &fleetShard{
 			dev:    map[string]*deviceState{},
-			resid:  NewQuantileSketch(cfg.Compression),
-			missHH: NewHeavyHitters(cfg.HeavyK),
+			resid:  NewQuantileSketch(0),
+			missHH: NewHeavyHitters(defaultHHCapacity),
 		}
 	}
 	return t
@@ -261,6 +205,10 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 	st := sh.dev[dev]
 	if st == nil {
 		st = &deviceState{device: dev}
+		if pt := platform.PowerTableByName(e.Platform); pt != nil {
+			led := platform.NewLedger(pt)
+			st.led = &led
+		}
 		sh.dev[dev] = st
 	}
 	if st.platform == "" {
@@ -270,6 +218,11 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 		st.workload = e.Workload
 	}
 	st.events++
+	if st.led != nil {
+		ChargeEvent(st.led, e)
+	} else {
+		t.unpriced.Add(1)
+	}
 	if e.Done {
 		st.jobs++
 		miss := 0.0
@@ -278,14 +231,13 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 			st.misses++
 			sh.missHH.Add(dev, 1)
 		}
-		st.missEWMA += t.cfg.Alpha * (miss - st.missEWMA)
+		st.missEWMA += fleetAlpha * (miss - st.missEWMA)
 		if e.Predicted && e.PredictedExecSec > 0 {
 			rf := e.ResidualSec / e.PredictedExecSec
 			sh.resid.Add(math.Abs(rf))
-			st.residEWMA += t.cfg.Alpha * (rf - st.residEWMA)
-			st.driftEWMA += t.cfg.Alpha * (math.Abs(rf) - st.driftEWMA)
+			st.residEWMA += fleetAlpha * (rf - st.residEWMA)
+			st.driftEWMA += fleetAlpha * (math.Abs(rf) - st.driftEWMA)
 		}
-		st.energyJ += t.energy(e)
 	}
 	sh.mu.Unlock()
 
@@ -295,29 +247,15 @@ func (t *FleetTracker) Emit(e *DecisionEvent) {
 	if e.Missed {
 		t.misses.Add(1)
 	}
-	done := t.completed.Add(1)
-	if t.cfg.SLO != nil {
-		t.cfg.SLO.ObserveEvent(e)
-	}
-	t.maybeHistory(done)
+	t.maybeHistory(t.completed.Add(1))
 }
 
-func (t *FleetTracker) energy(e *DecisionEvent) float64 {
-	if t.cfg.EnergyPerJob != nil {
-		if j, ok := t.cfg.EnergyPerJob(e); ok {
-			return j
-		}
-	}
-	// freq²·time proxy in GHz²·s: dynamic power scales ≈ f·V² with
-	// V roughly ∝ f over a DVFS range, so f² preserves the ordering
-	// the health score cares about even without platform power tables.
-	ghz := float64(e.FreqKHz) / 1e6
-	return ghz * ghz * e.ActualExecSec
-}
+// Close implements Sink; the tracker holds nothing to flush.
+func (t *FleetTracker) Close() error { return nil }
 
 // maybeHistory appends a fleet history point when the completed count
 // crosses the next threshold. The point snapshots the merged residual
-// sketch, so it takes every shard lock briefly; HistoryEvery spaces
+// sketch, so it takes every shard lock briefly; historyEvery spaces
 // that cost out.
 func (t *FleetTracker) maybeHistory(done uint64) {
 	t.histMu.Lock()
@@ -325,7 +263,7 @@ func (t *FleetTracker) maybeHistory(done uint64) {
 		t.histMu.Unlock()
 		return
 	}
-	t.histNext = done + uint64(t.cfg.HistoryEvery)
+	t.histNext = done + historyEvery
 	resid := t.mergedResiduals()
 	pt := FleetPoint{
 		Completed: done,
@@ -336,7 +274,7 @@ func (t *FleetTracker) maybeHistory(done uint64) {
 	if c := t.completed.Load(); c > 0 {
 		pt.MissRate = float64(t.misses.Load()) / float64(c)
 	}
-	if len(t.history) == t.cfg.HistoryCap {
+	if len(t.history) == historyCap {
 		copy(t.history, t.history[1:])
 		t.history[len(t.history)-1] = pt
 	} else {
@@ -355,7 +293,7 @@ func nanToZero(v float64) float64 {
 // mergedResiduals merges every shard's residual sketch in shard order
 // into a fresh sketch.
 func (t *FleetTracker) mergedResiduals() *QuantileSketch {
-	out := NewQuantileSketch(t.cfg.Compression)
+	out := NewQuantileSketch(0)
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		out.Merge(sh.resid)
@@ -368,11 +306,6 @@ func (t *FleetTracker) mergedResiduals() *QuantileSketch {
 // device ID. The energy component normalizes against the fleet median
 // energy/job, so it is only computable fleet-wide at read time.
 func (t *FleetTracker) DeviceHealths() []DeviceHealth {
-	out, _ := t.scoredDevices()
-	return out
-}
-
-func (t *FleetTracker) scoredDevices() ([]DeviceHealth, float64) {
 	var all []DeviceHealth
 	for _, sh := range t.shards {
 		sh.mu.Lock()
@@ -388,9 +321,12 @@ func (t *FleetTracker) scoredDevices() ([]DeviceHealth, float64) {
 				ResidEWMA: st.residEWMA,
 				DriftEWMA: st.driftEWMA,
 			}
+			if st.led != nil {
+				d.EnergyJ = st.led.Breakdown().Total()
+			}
 			if st.jobs > 0 {
 				d.MissRate = float64(st.misses) / float64(st.jobs)
-				d.EnergyPerJob = st.energyJ / float64(st.jobs)
+				d.EnergyPerJob = d.EnergyJ / float64(st.jobs)
 			}
 			all = append(all, d)
 		}
@@ -402,7 +338,7 @@ func (t *FleetTracker) scoredDevices() ([]DeviceHealth, float64) {
 	// energy-excess component.
 	var epj []float64
 	for _, d := range all {
-		if d.Jobs >= int64(t.cfg.MinJobs) {
+		if d.Jobs >= minJobs {
 			epj = append(epj, d.EnergyPerJob)
 		}
 	}
@@ -414,7 +350,7 @@ func (t *FleetTracker) scoredDevices() ([]DeviceHealth, float64) {
 	for i := range all {
 		t.score(&all[i], medEPJ)
 	}
-	return all, medEPJ
+	return all
 }
 
 // sat maps [0,∞) onto [0,1): x/(1+x). A component at exactly its
@@ -429,8 +365,8 @@ func sat(x float64) float64 {
 // score fills Score/Class/Attribution: 0.5·sat(miss/budget) +
 // 0.3·sat(drift/budget) + 0.2·sat(energy excess vs fleet median).
 func (t *FleetTracker) score(d *DeviceHealth, medEPJ float64) {
-	missC := sat(d.MissEWMA / t.cfg.MissTarget)
-	driftC := sat(d.DriftEWMA / t.cfg.DriftBudget)
+	missC := sat(d.MissEWMA / missTarget)
+	driftC := sat(d.DriftEWMA / driftBudget)
 	energyC := 0.0
 	if medEPJ > 0 && d.EnergyPerJob > medEPJ {
 		energyC = sat(d.EnergyPerJob/medEPJ - 1)
@@ -446,11 +382,11 @@ func (t *FleetTracker) score(d *DeviceHealth, medEPJ float64) {
 		d.Attribution = "energy"
 	}
 	switch {
-	case d.Jobs < int64(t.cfg.MinJobs):
+	case d.Jobs < minJobs:
 		d.Class = ClassFresh
-	case d.Score >= t.cfg.OutlierScore:
+	case d.Score >= outlierScore:
 		d.Class = ClassOutlier
-	case d.Score >= t.cfg.DegradedScore:
+	case d.Score >= degradedScore:
 		d.Class = ClassDegraded
 	default:
 		d.Class = ClassHealthy
@@ -466,15 +402,16 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 		Events:    t.events.Load(),
 		Completed: t.completed.Load(),
 		Misses:    t.misses.Load(),
+		Unpriced:  t.unpriced.Load(),
 	}
 	if s.Completed > 0 {
 		s.MissRate = float64(s.Misses) / float64(s.Completed)
 	}
 
-	all, _ := t.scoredDevices()
+	all := t.DeviceHealths()
 	s.Devices = len(all)
-	missSk := NewQuantileSketch(t.cfg.Compression)
-	epjSk := NewQuantileSketch(t.cfg.Compression)
+	missSk := NewQuantileSketch(0)
+	epjSk := NewQuantileSketch(0)
 	for _, d := range all {
 		switch d.Class {
 		case ClassFresh:
@@ -486,7 +423,7 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 		case ClassOutlier:
 			s.Outliers++
 		}
-		if d.Jobs >= int64(t.cfg.MinJobs) {
+		if d.Jobs >= minJobs {
 			missSk.Add(d.MissEWMA)
 			epjSk.Add(d.EnergyPerJob)
 		}
@@ -507,18 +444,18 @@ func (t *FleetTracker) Snapshot() FleetStatus {
 		}
 		return classified[i].Device < classified[j].Device
 	})
-	if len(classified) > t.cfg.TopK {
-		classified = classified[:t.cfg.TopK]
+	if len(classified) > t.topK {
+		classified = classified[:t.topK]
 	}
 	s.Worst = classified
 
-	hh := NewHeavyHitters(t.cfg.HeavyK)
+	hh := NewHeavyHitters(defaultHHCapacity)
 	for _, sh := range t.shards {
 		sh.mu.Lock()
 		hh.Merge(sh.missHH)
 		sh.mu.Unlock()
 	}
-	s.TopMiss = hh.Top(t.cfg.TopK)
+	s.TopMiss = hh.Top(t.topK)
 
 	t.histMu.Lock()
 	s.History = append([]FleetPoint(nil), t.history...)

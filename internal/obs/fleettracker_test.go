@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/platform"
 )
 
-// fleetEvent builds a completed decision event for device d.
+// fleetEvent builds a completed decision event for device d on the A7
+// board, so the tracker prices its energy.
 func fleetEvent(dev string, missed bool, residFrac float64) *DecisionEvent {
 	return &DecisionEvent{
 		Workload:         "mpeg",
-		Platform:         "odroid-a7",
+		Platform:         "a7",
 		Device:           dev,
 		Predicted:        true,
 		PredictedExecSec: 0.010,
@@ -26,7 +29,7 @@ func fleetEvent(dev string, missed bool, residFrac float64) *DecisionEvent {
 // scores as an outlier attributed to misses; a drifting-but-hitting
 // device lands on drift; a clean device stays healthy.
 func TestFleetTrackerClassification(t *testing.T) {
-	tr := NewFleetTracker(FleetConfig{MinJobs: 8})
+	tr := NewFleetTracker(FleetConfig{})
 	for i := 0; i < 200; i++ {
 		tr.Emit(fleetEvent("good", false, 0.01))
 		tr.Emit(fleetEvent("missy", true, 0.01))
@@ -66,10 +69,10 @@ func TestFleetTrackerClassification(t *testing.T) {
 	}
 }
 
-// TestFleetTrackerFreshGate: devices under MinJobs are reported fresh
+// TestFleetTrackerFreshGate: devices under minJobs are reported fresh
 // and excluded from the worst-devices ranking.
 func TestFleetTrackerFreshGate(t *testing.T) {
-	tr := NewFleetTracker(FleetConfig{MinJobs: 10})
+	tr := NewFleetTracker(FleetConfig{})
 	for i := 0; i < 3; i++ {
 		tr.Emit(fleetEvent("young", true, 2.0))
 	}
@@ -92,15 +95,14 @@ func TestFleetTrackerUnlabeledDevice(t *testing.T) {
 	}
 }
 
-// TestFleetTrackerSLOFeed: completed events flow into the attached
-// keyed SLO tracker under fleet/platform/workload keys.
-func TestFleetTrackerSLOFeed(t *testing.T) {
+// TestSLOTrackerObserveEventKeys: completed events feed the keyed SLO
+// tracker under fleet/platform/workload keys.
+func TestSLOTrackerObserveEventKeys(t *testing.T) {
 	slo := NewSLOTracker(SLOConfig{Target: 0.01})
-	tr := NewFleetTracker(FleetConfig{SLO: slo})
 	for i := 0; i < 50; i++ {
-		tr.Emit(fleetEvent("d0", i%2 == 0, 0))
+		slo.ObserveEvent(fleetEvent("d0", i%2 == 0, 0))
 	}
-	for _, key := range []string{FleetKey, "platform:odroid-a7", "workload:mpeg"} {
+	for _, key := range []string{FleetKey, "platform:a7", "workload:mpeg"} {
 		st, ok := slo.Status(key)
 		if !ok || st.Jobs != 50 || st.Misses != 25 {
 			t.Errorf("SLO key %q: %+v ok=%v, want 50 jobs / 25 misses", key, st, ok)
@@ -137,7 +139,7 @@ func TestSLOTrackerMaxKeys(t *testing.T) {
 func TestFleetTrackerRace(t *testing.T) {
 	const writers = 32
 	const perWriter = 500
-	tr := NewFleetTracker(FleetConfig{HistoryEvery: 64})
+	tr := NewFleetTracker(FleetConfig{})
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -175,7 +177,7 @@ func TestFleetTrackerRace(t *testing.T) {
 		t.Errorf("summed device jobs = %d, want %d", jobs, writers*perWriter)
 	}
 	if len(s.History) == 0 {
-		t.Errorf("history empty after %d completed jobs with HistoryEvery=64", s.Completed)
+		t.Errorf("history empty after %d completed jobs (a point every %d)", s.Completed, historyEvery)
 	}
 }
 
@@ -184,7 +186,7 @@ func TestFleetTrackerRace(t *testing.T) {
 // hitters) — the property fleet replay reports rely on.
 func TestFleetTrackerDeterministicSnapshot(t *testing.T) {
 	build := func() FleetStatus {
-		tr := NewFleetTracker(FleetConfig{HistoryEvery: 100})
+		tr := NewFleetTracker(FleetConfig{})
 		for i := 0; i < 2000; i++ {
 			dev := fmt.Sprintf("dev-%02d", i%40)
 			tr.Emit(fleetEvent(dev, i%17 == 0, float64(i%7)*0.03))
@@ -194,5 +196,68 @@ func TestFleetTrackerDeterministicSnapshot(t *testing.T) {
 	a, b := build(), build()
 	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
 		t.Fatalf("snapshots differ across identical feeds:\n%+v\nvs\n%+v", a, b)
+	}
+}
+
+// TestFleetTrackerEnergyAttribution: a device running every job at the
+// top level, among devices running the same jobs at the bottom level,
+// is the one whose health is attributed to energy. Its joules are the
+// ledger's: idle to each event, then the prediction slice, the switch
+// and the execution, summed bit for bit.
+func TestFleetTrackerEnergyAttribution(t *testing.T) {
+	plat := platform.ODROIDXU3A7()
+	top := plat.NumLevels() - 1
+	tr := NewFleetTracker(FleetConfig{})
+	event := func(dev string, i, level int) *DecisionEvent {
+		return &DecisionEvent{
+			Platform: "a7", Device: dev, Workload: "sha",
+			TimeSec: float64(i) * 0.05, FromLevel: level, Level: level,
+			PredictorSec: 1e-4, ActualExecSec: 0.01, Done: true,
+		}
+	}
+	want := platform.NewLedger(platform.NewPowerTable(plat))
+	for i := 0; i < 40; i++ {
+		tr.Emit(event("hot", i, top))
+		want.IdleUntil(float64(i)*0.05, top)
+		want.Run(top, top, 1e-4, 0, 0.01)
+		for _, dev := range []string{"cool-1", "cool-2", "cool-3"} {
+			tr.Emit(event(dev, i, 0))
+		}
+	}
+	byDev := map[string]DeviceHealth{}
+	for _, d := range tr.DeviceHealths() {
+		byDev[d.Device] = d
+	}
+	hot, cool := byDev["hot"], byDev["cool-1"]
+	if hot.EnergyJ != want.Breakdown().Total() {
+		t.Errorf("hot EnergyJ = %v, want the ledger's %v", hot.EnergyJ, want.Breakdown().Total())
+	}
+	if hot.Attribution != "energy" || !(hot.Score > 0) {
+		t.Errorf("hot: attribution %q score %v, want energy and a positive score", hot.Attribution, hot.Score)
+	}
+	if !(hot.EnergyPerJob > cool.EnergyPerJob) || cool.Score != 0 {
+		t.Errorf("cool: energy/job %v (hot %v) score %v, want less energy and a zero score",
+			cool.EnergyPerJob, hot.EnergyPerJob, cool.Score)
+	}
+	if s := tr.Snapshot(); s.Unpriced != 0 {
+		t.Errorf("Unpriced = %d, want 0 on a resolvable platform", s.Unpriced)
+	}
+}
+
+// TestFleetTrackerUnpricedCounted: events of a device whose platform
+// does not resolve are counted, not priced by a guessed power curve.
+func TestFleetTrackerUnpricedCounted(t *testing.T) {
+	tr := NewFleetTracker(FleetConfig{})
+	for i := 0; i < 12; i++ {
+		e := fleetEvent("d0", false, 0)
+		e.Platform = "odroid-a7" // the board's model name, not a platform.ByName name
+		tr.Emit(e)
+	}
+	s := tr.Snapshot()
+	if s.Unpriced != 12 {
+		t.Errorf("Unpriced = %d, want 12", s.Unpriced)
+	}
+	if d := tr.DeviceHealths()[0]; d.EnergyJ != 0 || d.EnergyPerJob != 0 {
+		t.Errorf("unpriced device has energy %v (%v/job), want 0", d.EnergyJ, d.EnergyPerJob)
 	}
 }

@@ -1,8 +1,10 @@
 package platform
 
+import "sync"
+
 // Energy accounting for anything that walks a job timeline from the
 // outside — the replay engine's reconstruction and counterfactuals,
-// the daemon's live meter, the fleet estimator. The simulator keeps its
+// the daemon's live meter, the fleet health tracker. The simulator keeps its
 // own integrator (it splits segments at sampling boundaries and is the
 // reference those layers are checked against); everything else prices
 // the same four segments through one PowerTable and one Ledger, so
@@ -48,6 +50,25 @@ func NewPowerTable(p *Platform) *PowerTable {
 		}
 	}
 	return t
+}
+
+// powerTables memoizes PowerTableByName: platform name → *PowerTable.
+var powerTables sync.Map
+
+// PowerTableByName returns the power table of the platform ByName
+// resolves name to, built once per name and shared read-only; nil when
+// name does not resolve (failures are not remembered, so arbitrary
+// names cannot grow the memo).
+func PowerTableByName(name string) *PowerTable {
+	if t, ok := powerTables.Load(name); ok {
+		return t.(*PowerTable)
+	}
+	p, err := ByName(name)
+	if err != nil {
+		return nil
+	}
+	t, _ := powerTables.LoadOrStore(name, NewPowerTable(p))
+	return t.(*PowerTable)
 }
 
 // Active returns the active power at level index i; false when i is

@@ -55,3 +55,27 @@ func TestLedgerZeroAlloc(t *testing.T) {
 		t.Fatalf("Ledger allocated %.1f/op, want 0", allocs)
 	}
 }
+
+// TestPowerTableByName: a ByName name resolves to one shared table that
+// prices like a fresh one; any other name, including a board's model
+// name, resolves to nil and is not remembered.
+func TestPowerTableByName(t *testing.T) {
+	a, b := PowerTableByName("x86"), PowerTableByName("x86")
+	if a == nil || a != b {
+		t.Fatalf("x86 tables %p and %p, want one shared non-nil table", a, b)
+	}
+	fresh := NewPowerTable(IntelI7())
+	for i := range fresh.active {
+		if a.active[i] != fresh.active[i] || a.idle[i] != fresh.idle[i] {
+			t.Fatalf("level %d: shared table differs from a fresh one", i)
+		}
+	}
+	for _, name := range []string{"", "odroid-xu3-a7", "nope"} {
+		if PowerTableByName(name) != nil {
+			t.Errorf("PowerTableByName(%q) resolved, want nil", name)
+		}
+		if _, ok := powerTables.Load(name); ok {
+			t.Errorf("unresolved name %q was memoized", name)
+		}
+	}
+}

@@ -10,13 +10,15 @@ import (
 // TestLayering keeps the dependency graph pointing downward: the
 // presentation and analysis layers that dvfsd and dvfsreplay link must
 // not pull in the experiment suite (and with it the controller
-// builder, the simulator and every workload). Only non-test imports
-// count.
+// builder, the simulator and every workload), and the fleet engine
+// builds its governors through the core registry, not the suite. Only
+// non-test imports count.
 func TestLayering(t *testing.T) {
 	const module = "repro/"
 	for _, c := range []struct{ pkg, banned string }{
 		{"repro/internal/render", "repro/internal/experiments"},
 		{"repro/internal/replay", "repro/internal/experiments"},
+		{"repro/internal/fleet", "repro/internal/experiments"},
 	} {
 		seen := map[string]bool{}
 		var path []string
